@@ -129,7 +129,8 @@ class CombinationalAtpg:
 
         detected_count = random_detected + podem_detected
         if self.compact and patterns:
-            detected_faults = [f for f in faults if f not in set(redundant) | set(aborted)]
+            undetected = set(redundant) | set(aborted)
+            detected_faults = [f for f in faults if f not in undetected]
             patterns = compact_patterns(self.netlist, patterns, detected_faults)
 
         report = CoverageReport(

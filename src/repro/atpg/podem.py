@@ -16,19 +16,25 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from weakref import WeakKeyDictionary
 
 from repro.errors import AtpgError
 from repro.obs import METRICS
 from repro.obs.attrib import ATTRIB
-from repro.atpg.values import CONTROLLING, ONE, X, ZERO, eval_gate3, v_not
+from repro.atpg.values import CONTROLLING, ONE, X, ZERO, evaluator, v_not
 from repro.faults.model import Fault
-from repro.gates.cells import STATE_KINDS, GateKind
+from repro.gates.cells import SOURCE_KINDS, STATE_KINDS, GateKind
 from repro.gates.levelize import depth_levels, levelize
 from repro.gates.netlist import Gate, GateNetlist
 
 #: PODEM's assignable sources exclude constants (they cannot be set)
-_SOURCE_KINDS = (GateKind.INPUT,) + STATE_KINDS
+_ASSIGNABLE_KINDS = (GateKind.INPUT,) + STATE_KINDS
+
+#: ``good ^ faulty`` of a net carrying a D or D-bar (X is 2, so any
+#: pair with an X gives 0, 2 or 3)
+_D = 1
 
 _CALLS = METRICS.counter("atpg.podem.calls")
 _BACKTRACKS = METRICS.counter("atpg.podem.backtracks")
@@ -52,7 +58,8 @@ class PodemResult:
     backtracks: int = 0
     #: total decision-tree assignments tried (first choices + flips)
     decisions: int = 0
-    #: implication passes (three-valued simulations) run by the search
+    #: implication steps run by the search: the initial one, then one
+    #: per decision or backtrack flip
     implications: int = 0
     #: objectives whose backtrace dead-ended, forcing a backtrack restart
     restarts: int = 0
@@ -107,6 +114,60 @@ def podem(
     return result
 
 
+class _Topology:
+    """Per-netlist engine state, shared by every PODEM call on one netlist.
+
+    Built once per netlist revision (every fault and, for time-frame
+    expansion, every frame copy reuses it) and read-only afterwards.
+    """
+
+    def __init__(self, netlist: GateNetlist) -> None:
+        self.revision = netlist.revision
+        gates = {name: netlist.gate(name) for name in netlist.names()}
+        self.gates: Dict[str, Gate] = gates
+        #: every gate in topological order, sources first; a gate's
+        #: position here is its index
+        self.order = levelize(netlist)
+        self.index = {name: i for i, name in enumerate(self.order)}
+        kinds = [gates[name].kind for name in self.order]
+        self.fanins = [gates[name].fanins for name in self.order]
+        #: per index: three-valued evaluator, None for an assignable source
+        self.evaluate = [None if k in _ASSIGNABLE_KINDS else evaluator(k) for k in kinds]
+        self.controlling = [CONTROLLING.get(k) for k in kinds]
+        #: per index: may the gate join the D-frontier (an evaluated gate
+        #: other than an OUTPUT marker)
+        self.joins_frontier = [k not in SOURCE_KINDS and k is not GateKind.OUTPUT for k in kinds]
+        #: assignable by default: inputs and flip-flops, not constants
+        self.sources = frozenset(
+            name for name, gate in gates.items() if gate.kind in _ASSIGNABLE_KINDS
+        )
+        self.constants = [
+            self.index[name] for name, gate in gates.items()
+            if gate.kind in (GateKind.CONST0, GateKind.CONST1)
+        ]
+        self.observe = frozenset(
+            [g.name for g in netlist.outputs] + [flop.fanins[0] for flop in netlist.flops]
+        )
+        fanout = netlist.fanout_map()
+        #: net -> indices of the gates whose value it feeds (a flip-flop
+        #: holds its value, so it is no reader here)
+        self.readers: Dict[str, Tuple[int, ...]] = {
+            name: tuple(self.index[r] for r in fanout[name] if gates[r].kind not in STATE_KINDS)
+            for name in gates
+        }
+
+
+#: netlist -> its engine state; an entry is stale once the netlist mutates
+_TOPOLOGY: "WeakKeyDictionary[GateNetlist, _Topology]" = WeakKeyDictionary()
+
+
+def _topology(netlist: GateNetlist) -> _Topology:
+    topo = _TOPOLOGY.get(netlist)
+    if topo is None or topo.revision != netlist.revision:
+        topo = _TOPOLOGY[netlist] = _Topology(netlist)
+    return topo
+
+
 class _PodemEngine:
     def __init__(
         self,
@@ -116,84 +177,108 @@ class _PodemEngine:
         backtrack_limit: int,
         extra_sites: Sequence[Fault] = (),
     ) -> None:
-        self.netlist = netlist
+        topo = _topology(netlist)
+        self.topo = topo
+        self.gates = topo.gates
         self.fault = fault
-        self.extra_sites = list(extra_sites)
         self.backtrack_limit = backtrack_limit
-        self.gates: Dict[str, Gate] = {name: netlist.gate(name) for name in netlist.names()}
-        self.order = [
-            name for name in levelize(netlist)
-            if self.gates[name].kind not in _SOURCE_KINDS
-            and self.gates[name].kind not in (GateKind.CONST0, GateKind.CONST1)
-        ]
-        self.level = {name: i for i, name in enumerate(self.order)}
-        self.sources = [g.name for g in netlist.gates() if g.kind in _SOURCE_KINDS]
-        if assignable is None:
-            self.assignable = set(self.sources)
-        else:
-            self.assignable = set(assignable)
-        self.observe: Set[str] = {g.name for g in netlist.outputs}
-        for flop in netlist.flops:
-            self.observe.add(flop.fanins[0])
+        self.assignable = topo.sources if assignable is None else set(assignable)
 
-        self.fanout = netlist.fanout_map()
+        all_sites = [fault, *extra_sites]
+        self.stem_sites = {f.gate: f.stuck for f in all_sites if f.pin is None}
+        pin_sites = {(f.gate, f.pin): f.stuck for f in all_sites if f.pin is not None}
+        #: gate -> [(pin, stuck)] forced into its faulty operands.  Only
+        #: evaluated gates take them, and only on pins they have: a flop
+        #: pin is observed at capture (see justify_only), and a flop's frame
+        #: copies from ``unroll`` are an INPUT (frame 0) or a one-input BUF
+        #: with no scan pins
+        self.pin_sites: Dict[str, List[Tuple[int, int]]] = {}
+        for (name, pin), stuck in pin_sites.items():
+            i = topo.index[name]
+            if topo.evaluate[i] is not None and pin < len(topo.fanins[i]):
+                self.pin_sites.setdefault(name, []).append((pin, stuck))
+
         self.assignment: Dict[str, int] = {}
-        self.good: Dict[str, int] = {}
-        self.faulty: Dict[str, int] = {}
+        self.good: Dict[str, int] = dict.fromkeys(topo.gates, X)
+        self.faulty: Dict[str, int] = dict.fromkeys(topo.gates, X)
+        #: indices of the D-frontier gates, and observed nets carrying a D
+        self.frontier: Set[int] = set()
+        self.d_observed: Set[str] = set()
 
         # a fault on a flop input pin is observed directly at capture: the
         # engine then only needs to *justify* the pin net to the non-stuck value
         gate = self.gates[fault.gate]
+        if fault.pin is not None and fault.pin >= len(gate.fanins):
+            raise AtpgError(f"{fault}: gate {fault.gate} ({gate.kind.value}) has no pin {fault.pin}")
         self.justify_only: Optional[Tuple[str, int]] = None
         if fault.pin is not None and gate.kind in STATE_KINDS:
             self.justify_only = (gate.fanins[fault.pin], v_not(fault.stuck))
 
     # ------------------------------------------------------------------
-    # simulation
+    # implication
     # ------------------------------------------------------------------
-    def simulate(self) -> None:
-        good, faulty = {}, {}
-        gates = self.gates
-        all_sites = [self.fault] + self.extra_sites
-        stem_sites = {f.gate: f.stuck for f in all_sites if f.pin is None}
-        pin_sites = {(f.gate, f.pin): f.stuck for f in all_sites if f.pin is not None}
-        for name, gate in gates.items():
-            kind = gate.kind
-            if kind in _SOURCE_KINDS:
-                value = self.assignment.get(name, X)
-                good[name] = value
-                faulty[name] = value
-            elif kind is GateKind.CONST0:
-                good[name] = ZERO
-                faulty[name] = ZERO
-            elif kind is GateKind.CONST1:
-                good[name] = ONE
-                faulty[name] = ONE
-        for site_name, stuck in stem_sites.items():
-            if site_name in faulty:
-                faulty[site_name] = stuck
+    def _imply(self, changed: Iterable[int]) -> None:
+        """Bring the values up to date after the gates indexed by
+        ``changed`` (sources whose assignment moved, or fault sites) did.
 
-        for name in self.order:
-            gate = gates[name]
-            good[name] = eval_gate3(gate.kind, [good[s] for s in gate.fanins])
-            if name in stem_sites:
-                faulty[name] = stem_sites[name]
-                continue
-            operands = [faulty[s] for s in gate.fanins]
-            if pin_sites and gate.kind not in STATE_KINDS:
-                for pin in range(len(operands)):
-                    stuck = pin_sites.get((name, pin))
-                    if stuck is not None:
+        Only readers of gates whose (good, faulty) pair changed are
+        evaluated, in topological-index order, so the values equal a full
+        pass.  The D-frontier and the observed D nets follow along: a
+        gate's membership can only change when it is evaluated.
+        """
+        topo = self.topo
+        good, faulty, assignment = self.good, self.faulty, self.assignment
+        stem_sites, pin_sites = self.stem_sites, self.pin_sites
+        order, fanins, evaluate = topo.order, topo.fanins, topo.evaluate
+        readers, observe, joins = topo.readers, topo.observe, topo.joins_frontier
+        frontier, d_observed = self.frontier, self.d_observed
+        queue = sorted(set(changed))
+        queued = set(queue)
+        while queue:
+            i = heappop(queue)
+            name, ins, fn = order[i], fanins[i], evaluate[i]
+            if fn is None:
+                g = assignment.get(name, X)
+                g_in = f_in = ()
+            else:
+                g_in = [good[s] for s in ins]
+                f_in = [faulty[s] for s in ins]
+                g = fn(g_in)
+            f = stem_sites.get(name)
+            if f is None:
+                pins = pin_sites.get(name)
+                if pins:
+                    operands = list(f_in)
+                    for pin, stuck in pins:
                         operands[pin] = stuck
-            faulty[name] = eval_gate3(gate.kind, operands)
-        self.good, self.faulty = good, faulty
+                    f = fn(operands)
+                else:
+                    f = g if f_in == g_in else fn(f_in)
+            if joins[i]:
+                if (g == X or f == X) and f_in != g_in and any(
+                    a ^ b == _D for a, b in zip(g_in, f_in)
+                ):
+                    frontier.add(i)
+                else:
+                    frontier.discard(i)
+            if good[name] == g and faulty[name] == f:
+                continue
+            good[name], faulty[name] = g, f
+            if name in observe:
+                if g ^ f == _D:
+                    d_observed.add(name)
+                else:
+                    d_observed.discard(name)
+            for reader in readers[name]:
+                if reader not in queued:
+                    queued.add(reader)
+                    heappush(queue, reader)
 
     # ------------------------------------------------------------------
     # predicates
     # ------------------------------------------------------------------
     def _has_d(self, net: str) -> bool:
-        g, f = self.good[net], self.faulty[net]
-        return g != X and f != X and g != f
+        return self.good[net] ^ self.faulty[net] == _D
 
     def _unknown(self, net: str) -> bool:
         return self.good[net] == X or self.faulty[net] == X
@@ -202,7 +287,7 @@ class _PodemEngine:
         if self.justify_only is not None:
             net, value = self.justify_only
             return self.good[net] == value
-        return any(self._has_d(net) for net in self.observe)
+        return bool(self.d_observed)
 
     def _activation_net(self) -> str:
         """The net whose good value must differ from the stuck value."""
@@ -210,31 +295,19 @@ class _PodemEngine:
             return self.fault.gate
         return self.gates[self.fault.gate].fanins[self.fault.pin]
 
-    def _d_frontier(self) -> List[Gate]:
-        frontier = []
-        for name in self.order:
-            gate = self.gates[name]
-            if gate.kind is GateKind.OUTPUT:
-                continue
-            if self._unknown(name) and any(self._has_d(s) for s in gate.fanins):
-                frontier.append(gate)
-        return frontier
-
-    def _xpath_exists(self, frontier: Sequence[Gate]) -> bool:
+    def _xpath_exists(self) -> bool:
         """Can a D still reach an observation point through X nets?"""
-        stack = [g.name for g in frontier]
+        topo = self.topo
+        stack = list(self.frontier)
         visited = set(stack)
         while stack:
-            name = stack.pop()
-            if name in self.observe:
+            name = topo.order[stack.pop()]
+            if name in topo.observe:
                 return True
-            for reader in self.fanout[name]:
+            for reader in topo.readers[name]:
                 if reader in visited:
                     continue
-                reader_gate = self.gates[reader]
-                if reader_gate.kind in STATE_KINDS:
-                    continue
-                if reader_gate.kind is GateKind.OUTPUT or self._unknown(reader):
+                if not topo.joins_frontier[reader] or self._unknown(topo.order[reader]):
                     visited.add(reader)
                     stack.append(reader)
         return False
@@ -266,17 +339,16 @@ class _PodemEngine:
             if not self._unknown(self.fault.gate):
                 return None  # output fully known and equal: fault masked here
 
-        frontier = self._d_frontier()
-        if not frontier:
+        if not self.frontier:
             return None
-        if not self._xpath_exists(frontier):
+        if not self._xpath_exists():
             return None
         # try frontier gates closest to an output first; the objective must
         # target an input that is X in the *good* machine (backtrace steers
         # good values -- faulty-only X inputs resolve via implication)
-        for gate in sorted(frontier, key=lambda g: -self.level.get(g.name, 0)):
-            controlling = CONTROLLING.get(gate.kind)
-            for source in gate.fanins:
+        for i in sorted(self.frontier, reverse=True):
+            controlling = self.topo.controlling[i]
+            for source in self.topo.fanins[i]:
                 if self.good[source] == X:
                     if controlling is not None:
                         return (source, v_not(controlling))
@@ -319,7 +391,7 @@ class _PodemEngine:
         for _ in range(len(self.gates) + 1):
             gate = self.gates[current]
             kind = gate.kind
-            if kind in _SOURCE_KINDS:
+            if kind in _ASSIGNABLE_KINDS:
                 if current in self.assignable and current not in self.assignment:
                     return (current, target)
                 return None
@@ -388,7 +460,10 @@ class _PodemEngine:
         implications = 0
         restarts = 0
         decisions: List[Tuple[str, int, bool]] = []  # (source, value, both_tried)
-        self.simulate()
+        # from the all-X start only constants and fault sites move: a gate
+        # whose inputs are all X outputs X
+        sites = [*self.stem_sites, *self.pin_sites]
+        self._imply([*self.topo.constants, *(self.topo.index[s] for s in sites)])
         implications += 1
         while True:
             if self.detected():
@@ -409,15 +484,17 @@ class _PodemEngine:
                 decisions.append((source, value, False))
                 self.assignment[source] = value
                 tried += 1
-                self.simulate()
+                self._imply((self.topo.index[source],))
                 implications += 1
                 continue
 
             # conflict: backtrack
             flipped = False
+            undone: List[str] = []
             while decisions:
                 source, value, both_tried = decisions.pop()
                 del self.assignment[source]
+                undone.append(source)
                 if not both_tried:
                     backtracks += 1
                     if backtracks > self.backtrack_limit:
@@ -435,5 +512,5 @@ class _PodemEngine:
                     PodemStatus.REDUNDANT, {}, backtracks, tried,
                     implications, restarts,
                 )
-            self.simulate()
+            self._imply([self.topo.index[s] for s in undone])
             implications += 1

@@ -148,6 +148,13 @@ class SequentialAtpg:
             frame_faults = [expansion.frame_fault(k, fault) for k in range(expansion.frames)]
             target = frame_faults[-1]
             extra = frame_faults[:-1]
+            if target.pin is not None and target.pin >= len(
+                expansion.netlist.gate(target.gate).fanins
+            ):
+                # frames run flip-flops in functional mode: an SDFF scan
+                # pin has no copy to target, so the fault stays undetected
+                still_alive.append(fault)
+                continue
             outcome = podem(
                 expansion.netlist,
                 target,

@@ -7,80 +7,107 @@ good=0/faulty=1.  Values are small ints: 0, 1, and 2 for X.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Dict, Sequence
 
 from repro.gates.cells import GateKind
 
 ZERO, ONE, X = 0, 1, 2
 
+#: three-valued evaluator of one gate: operand values -> output value
+Evaluator = Callable[[Sequence[int]], int]
+
+
+#: value -> its complement, indexed by the value itself
+_INVERTED = (ONE, ZERO, X)
+
 
 def v_not(a: int) -> int:
-    if a == X:
-        return X
-    return 1 - a
+    return _INVERTED[a]
 
 
-def v_and(operands: Sequence[int]) -> int:
-    result = ONE
-    for a in operands:
-        if a == ZERO:
-            return ZERO
-        if a == X:
-            result = X
-    return result
+def _buf(ops: Sequence[int]) -> int:
+    return ops[0]
 
 
-def v_or(operands: Sequence[int]) -> int:
-    result = ZERO
-    for a in operands:
-        if a == ONE:
-            return ONE
-        if a == X:
-            result = X
-    return result
+def _not(ops: Sequence[int]) -> int:
+    return _INVERTED[ops[0]]
 
 
-def v_xor(a: int, b: int) -> int:
-    if a == X or b == X:
-        return X
-    return a ^ b
+def _and(ops: Sequence[int]) -> int:
+    if ZERO in ops:
+        return ZERO
+    return X if X in ops else ONE
 
 
-def v_mux(d0: int, d1: int, select: int) -> int:
-    if select == ZERO:
+def _nand(ops: Sequence[int]) -> int:
+    if ZERO in ops:
+        return ONE
+    return X if X in ops else ZERO
+
+
+def _or(ops: Sequence[int]) -> int:
+    if ONE in ops:
+        return ONE
+    return X if X in ops else ZERO
+
+
+def _nor(ops: Sequence[int]) -> int:
+    if ONE in ops:
+        return ZERO
+    return X if X in ops else ONE
+
+
+def _xor(ops: Sequence[int]) -> int:
+    a, b = ops
+    return X if a == X or b == X else a ^ b
+
+
+def _xnor(ops: Sequence[int]) -> int:
+    a, b = ops
+    return X if a == X or b == X else 1 - (a ^ b)
+
+
+def _mux2(ops: Sequence[int]) -> int:
+    d0, d1, select = ops
+    if select == ZERO or d0 == d1:
         return d0
     if select == ONE:
         return d1
-    if d0 == d1:
-        return d0
     return X
 
 
-def eval_gate3(kind: GateKind, operands: Sequence[int]) -> int:
-    """Three-valued evaluation of one gate."""
-    if kind in (GateKind.BUF, GateKind.OUTPUT):
-        return operands[0]
-    if kind is GateKind.NOT:
-        return v_not(operands[0])
-    if kind is GateKind.AND:
-        return v_and(operands)
-    if kind is GateKind.NAND:
-        return v_not(v_and(operands))
-    if kind is GateKind.OR:
-        return v_or(operands)
-    if kind is GateKind.NOR:
-        return v_not(v_or(operands))
-    if kind is GateKind.XOR:
-        return v_xor(operands[0], operands[1])
-    if kind is GateKind.XNOR:
-        return v_not(v_xor(operands[0], operands[1]))
-    if kind is GateKind.MUX2:
-        return v_mux(operands[0], operands[1], operands[2])
-    if kind is GateKind.CONST0:
-        return ZERO
-    if kind is GateKind.CONST1:
-        return ONE
-    raise ValueError(f"cannot evaluate kind {kind} in three-valued logic")
+def _const0(ops: Sequence[int]) -> int:
+    return ZERO
+
+
+def _const1(ops: Sequence[int]) -> int:
+    return ONE
+
+
+#: the one three-valued gate definition: kind -> evaluator.  Sources
+#: (inputs, flip-flops) have no entry -- their value is an assignment.
+EVAL3: Dict[GateKind, Evaluator] = {
+    GateKind.BUF: _buf,
+    GateKind.OUTPUT: _buf,
+    GateKind.NOT: _not,
+    GateKind.AND: _and,
+    GateKind.NAND: _nand,
+    GateKind.OR: _or,
+    GateKind.NOR: _nor,
+    GateKind.XOR: _xor,
+    GateKind.XNOR: _xnor,
+    GateKind.MUX2: _mux2,
+    GateKind.CONST0: _const0,
+    GateKind.CONST1: _const1,
+}
+
+
+def evaluator(kind: GateKind) -> Evaluator:
+    """The three-valued evaluator of ``kind``; ValueError if it has none."""
+    try:
+        return EVAL3[kind]
+    except KeyError:
+        raise ValueError(f"cannot evaluate kind {kind} in three-valued logic") from None
 
 
 #: controlling input value per gate kind (None if the kind has none)
@@ -89,12 +116,4 @@ CONTROLLING = {
     GateKind.NAND: ZERO,
     GateKind.OR: ONE,
     GateKind.NOR: ONE,
-}
-
-#: whether the gate inverts on the controlled/non-controlled path
-INVERTS = {
-    GateKind.NAND: True,
-    GateKind.NOR: True,
-    GateKind.NOT: True,
-    GateKind.XNOR: True,
 }

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.errors import NetlistError
 from repro.gates.cells import SOURCE_KINDS
 from repro.gates.netlist import GateNetlist
 
-_DEPTH_CACHE: "WeakKeyDictionary[GateNetlist, Dict[str, int]]" = WeakKeyDictionary()
+#: netlist -> (revision, levels); an entry is stale once the netlist mutates
+_DEPTH_CACHE: "WeakKeyDictionary[GateNetlist, Tuple[int, Dict[str, int]]]" = WeakKeyDictionary()
 
 
 def levelize(netlist: GateNetlist) -> List[str]:
@@ -62,11 +63,11 @@ def depth_levels(netlist: GateNetlist) -> Dict[str, int]:
     This is the level definition the compiled kernels group their ops
     by, shared here so scalar-side consumers (effort attribution, the
     PODEM ledger) bucket identically without importing numpy.  Cached
-    per netlist; treat the result as read-only.
+    per netlist until it is mutated; treat the result as read-only.
     """
     cached = _DEPTH_CACHE.get(netlist)
-    if cached is not None:
-        return cached
+    if cached is not None and cached[0] == netlist.revision:
+        return cached[1]
     levels: Dict[str, int] = {}
     for name in levelize(netlist):
         gate = netlist.gate(name)
@@ -81,5 +82,5 @@ def depth_levels(netlist: GateNetlist) -> Dict[str, int]:
                 ),
                 default=0,
             )
-    _DEPTH_CACHE[netlist] = levels
+    _DEPTH_CACHE[netlist] = (netlist.revision, levels)
     return levels

@@ -39,6 +39,7 @@ class GateNetlist:
         self.name = name
         self._gates: Dict[str, Gate] = {}
         self._fanout_cache: Optional[Dict[str, List[str]]] = None
+        self._revision = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -49,7 +50,7 @@ class GateNetlist:
         fanin_tuple = tuple(fanins)
         _check_arity(name, kind, len(fanin_tuple))
         self._gates[name] = Gate(name, kind, fanin_tuple)
-        self._fanout_cache = None
+        self._mutated()
         return name
 
     def replace_gate(self, name: str, kind: GateKind, fanins: Iterable[str]) -> None:
@@ -59,7 +60,16 @@ class GateNetlist:
         fanin_tuple = tuple(fanins)
         _check_arity(name, kind, len(fanin_tuple))
         self._gates[name] = Gate(name, kind, fanin_tuple)
+        self._mutated()
+
+    def _mutated(self) -> None:
         self._fanout_cache = None
+        self._revision += 1
+
+    @property
+    def revision(self) -> int:
+        """Bumped by every mutation; caches keyed on the netlist store it."""
+        return self._revision
 
     # ------------------------------------------------------------------
     # lookup
