@@ -19,12 +19,23 @@ exact counters and orderings -- including ``faultsim.cone.*``, by
 touching the simulator's real cone cache precisely when the scalar
 activation checks would have.
 
-Sequential grading runs the good machine once and the whole faulty batch
-cycle by cycle with carried per-fault state, mirroring the scalar
-per-fault :class:`SequentialSimulator` semantics (flop input-pin faults
-are inert there, stem faults force their row every cycle, combinational
-pin faults are corrected from the *faulty* plane because corrupted state
-feeds back).
+Sequential grading runs the good machine once, then each chunk of up to
+``FAULT_CHUNK`` faults cycle by cycle with carried per-fault state,
+mirroring the scalar per-fault :class:`SequentialSimulator` semantics
+(flop input-pin faults are inert there; every other fault is forced
+every cycle).  The faulty machines share one ``(rows, Wg * F)`` value
+plane with the fault index innermost -- column ``w * F + f`` is word
+``w`` of fault ``f`` -- so every row gather of the compiled program
+copies contiguous runs.  Faults are forced per (level, gate kind)
+group with one gather and one vector gate evaluation: a stem fault
+reads the reserved constant row of its stuck value, and a pin fault
+re-evaluates its gate with the stuck pin reading that row.  The pin
+correction gathers from the *faulty* plane, not the good one: a fault
+corrupts flop state, and that state feeds back into the faulted gate's
+other inputs in later cycles.  After each cycle's primary-output
+comparison the detected faults' cycles are recorded and their columns
+dropped from the plane and the carried state, so later cycles evaluate
+only the faults still alive.
 
 One documented divergence: the scalar path discovers a pattern that
 misses a source lazily, batch by batch, so on malformed input it may
@@ -50,6 +61,7 @@ from repro.gates.kernel import (
     ALL_ONES,
     CompiledProgram,
     _PAD_ROW,
+    ONE_ROW,
     ZERO_ROW,
     compiled_program,
     eval_group_ops,
@@ -110,25 +122,14 @@ class _Plan:
             self.pin_row = int(self.fanin_rows[fault.pin])
 
 
-def _forced_pin_value(plan: _Plan, plane) -> "np.ndarray":
-    """The faulty gate-output words with one input pin forced, ``(W,)``.
-
-    ``plane`` is a per-fault ``(rows, W)`` slice of the faulty cube --
-    used by sequential grading, where corrupted state feeds the gate so
-    the correction must read the faulty machine, not the good one.
-    """
-    ops = plane[plan.fanin_rows, :].copy()
-    ops[plan.pin, :] = plan.stuck
-    return eval_group_ops(plan.gate_kind, ops)
-
-
 class _PinGroup:
     """All combinational pin faults of one gate kind, padded to one arity.
 
     One gather + one vector gate evaluation yields every group member's
     forced output word at once (the combinational shortcut: a pin
     fault's gate reads only fault-free upstream values, so the forced
-    output is computable from the good plane alone).
+    output is computable from the good plane alone).  Sequential grading
+    reuses the padded fanin rows but gathers from the faulty plane.
     """
 
     __slots__ = ("kind", "idx", "fanin_rows", "pin_slot", "pin_rows", "out_rows", "stuck")
@@ -364,6 +365,92 @@ def _next_states(program: CompiledProgram, values):
     return states
 
 
+class _ChunkForcing:
+    """Per-level fault forcing for one chunk of a faults-innermost plane.
+
+    Column ``w * F + f`` of the ``(rows, Wg * F)`` plane holds word ``w``
+    of live fault ``f``.  Every fault is one forced op at its gate's
+    level: a stem fault is a BUF reading the reserved constant row of
+    its stuck value, and a pin fault re-evaluates its gate with the
+    stuck pin reading that row.  Groups share a (level, gate kind), so
+    one gather and one :func:`eval_group_ops` call correct all of them.
+    """
+
+    def __init__(self, plans: Sequence[_Plan]) -> None:
+        def const_rows(stuck) -> "np.ndarray":
+            return np.where(stuck != 0, ONE_ROW, ZERO_ROW).astype(np.intp)
+
+        stems: Dict[int, List[Tuple[int, _Plan]]] = {}
+        pins: Dict[Tuple[int, GateKind], List[Tuple[int, _Plan]]] = {}
+        for i, plan in enumerate(plans):
+            if plan.kind is _STEM:
+                stems.setdefault(plan.level, []).append((i, plan))
+            else:
+                pins.setdefault((plan.level, plan.gate_kind), []).append((i, plan))
+        #: (level, kind, fault index, fanin rows (n, A), output rows (n,))
+        self.groups: List[Tuple[int, GateKind, "np.ndarray", "np.ndarray", "np.ndarray"]] = []
+        for level, members in stems.items():
+            stuck = np.array([plan.stuck for _, plan in members], dtype=np.uint64)
+            self.groups.append((
+                level,
+                GateKind.BUF,
+                np.array([i for i, _ in members], dtype=np.intp),
+                const_rows(stuck)[:, None],
+                np.array([plan.row for _, plan in members], dtype=np.intp),
+            ))
+        for (level, kind), members in pins.items():
+            group = _PinGroup(kind, members)
+            fanin_rows = group.fanin_rows
+            fanin_rows[np.arange(len(members)), group.pin_slot] = const_rows(group.stuck)
+            self.groups.append((level, kind, group.idx, fanin_rows, group.out_rows))
+
+    def drop(self, keep) -> None:
+        """Remove the faults where ``keep`` is False; renumber the rest."""
+        renumber = np.cumsum(keep) - 1
+        groups = []
+        for level, kind, idx, fanin_rows, out_rows in self.groups:
+            live = keep[idx]
+            if live.any():
+                groups.append(
+                    (level, kind, renumber[idx[live]], fanin_rows[live], out_rows[live])
+                )
+        self.groups = groups
+
+    def hook(self, plane, Wg: int):
+        """The ``after_level`` callback forcing every live fault in ``plane``."""
+        width = plane.shape[1]
+        flat = plane.reshape(-1)
+        words = np.arange(Wg, dtype=np.intp) * (width // Wg)
+        at_level: Dict[int, List[Tuple[GateKind, "np.ndarray", "np.ndarray"]]] = {}
+        for level, kind, idx, fanin_rows, out_rows in self.groups:
+            cols = idx[:, None] + words
+            at_level.setdefault(level, []).append((
+                kind,
+                fanin_rows[:, :, None] * width + cols[:, None, :],
+                out_rows[:, None] * width + cols,
+            ))
+
+        def force(level: int, _values) -> None:
+            for kind, src, dst in at_level.get(level, ()):
+                flat[dst] = eval_group_ops(kind, flat[src])
+
+        return force
+
+
+def _plane_view(program: CompiledProgram, buffer, width: int):
+    """A ``(rows, width)`` plane over the front of ``buffer``.
+
+    Only the reserved and constant rows are filled: every other row is
+    written each cycle (inputs, flop state) or by the program itself.
+    """
+    plane = buffer[: program.rows * width].reshape(program.rows, width)
+    plane[ZERO_ROW] = 0
+    plane[ONE_ROW] = ALL_ONES
+    plane[program.const0_rows] = 0
+    plane[program.const1_rows] = ALL_ONES
+    return plane
+
+
 def grade_sequence_group(
     netlist: GateNetlist,
     sequences: Sequence[Sequence[Pattern]],
@@ -380,7 +467,7 @@ def grade_sequence_group(
     program = compiled_program(netlist)
     count = len(sequences)
     Wg = word_count(count)
-    gmasks = tail_masks(count)
+    gmasks = tail_masks(count)[:, None]
 
     # per-cycle packed input words, exactly like the scalar packer
     # (missing inputs default to 0 -- no error here)
@@ -417,48 +504,38 @@ def grade_sequence_group(
             continue
         dense.append(plan)
 
+    # one buffer backs every chunk's plane, so dropping never copies it
+    buffer = np.empty(program.rows * Wg * min(FAULT_CHUNK, len(dense)), dtype=np.uint64)
     for start in range(0, len(dense), FAULT_CHUNK):
         sub = dense[start : start + FAULT_CHUNK]
-        F = len(sub)
-        stem_by_level: Dict[int, Tuple[List[int], List[int], "np.ndarray"]] = {}
-        pins_by_level: Dict[int, List[Tuple[int, _Plan]]] = {}
-        for i, plan in enumerate(sub):
-            if plan.kind is _STEM:
-                idx, rows, _ = stem_by_level.setdefault(plan.level, ([], [], None))
-                idx.append(i)
-                rows.append(plan.row)
-            else:
-                pins_by_level.setdefault(plan.level, []).append((i, plan))
-        for level, (idx, rows, _) in list(stem_by_level.items()):
-            stuck = np.array([sub[i].stuck for i in idx], dtype=np.uint64)
-            stem_by_level[level] = (idx, rows, stuck[:, None])
-
-        def force(level: int, cube) -> None:
-            entry = stem_by_level.get(level)
-            if entry is not None:
-                idx, rows, stuck = entry
-                cube[idx, rows, :] = stuck
-            for i, plan in pins_by_level.get(level, ()):
-                # corrupted state feeds back, so the correction reads the
-                # *faulty* plane -- unlike the combinational shortcut
-                cube[i, plan.row, :] = _forced_pin_value(plan, cube[i])
-
-        cube = program.new_values(Wg, batch=(F,))
-        state_f = np.zeros((F, len(program.flop_rows), Wg), dtype=np.uint64)
-        pending = set(range(F))
+        forcing = _ChunkForcing(sub)
+        live = np.arange(len(sub))  # chunk index of each column's fault
+        state = np.zeros((len(program.flop_rows), Wg * len(sub)), dtype=np.uint64)
+        plane = None
         for cycle in range(length):
-            cube[:, input_rows, :] = cycle_words[cycle]
-            cube[:, program.flop_rows, :] = state_f
-            program.eval(cube, after_level=force)
-            if n_out:
-                diff = (cube[:, program.output_rows, :] ^ good_po[cycle]) & gmasks
-                hits = diff.any(axis=(1, 2))
-                for i in [i for i in pending if hits[i]]:
-                    detected_cycle[sub[i].fault] = cycle
-                    pending.discard(i)
-            if not pending:
+            F = len(live)
+            if plane is None:
+                plane = _plane_view(program, buffer, Wg * F)
+                force = forcing.hook(plane, Wg)
+            by_word = plane.reshape(program.rows, Wg, F)
+            by_word[input_rows] = cycle_words[cycle][:, :, None]
+            plane[program.flop_rows] = state
+            program.eval(plane, after_level=force)
+            diff = (by_word[program.output_rows] ^ good_po[cycle][:, :, None]) & gmasks
+            hits = diff.any(axis=(0, 1))
+            for i in np.flatnonzero(hits).tolist():
+                detected_cycle[sub[live[i]].fault] = cycle
+            if cycle + 1 == length or hits.all():
                 break
-            state_f = _next_states(program, cube)
+            state = _next_states(program, plane)
+            if hits.any():
+                # drop the detected faults' columns from the carried state
+                # and the forcing; the next cycle uses a narrower plane
+                keep = ~hits
+                live = live[keep]
+                state = state.reshape(-1, Wg, F)[:, :, keep].reshape(len(state), Wg * len(live))
+                forcing.drop(keep)
+                plane = None
 
     survivors: List[Fault] = []
     for fault in alive:

@@ -124,7 +124,9 @@ class FaultSimResult:
     total: int
     detected: List[Fault] = field(default_factory=list)
     undetected: List[Fault] = field(default_factory=list)
-    #: fault -> index of the first pattern that detects it
+    #: fault -> index of the first pattern that detects it; for
+    #: :func:`sequential_fault_grade`, the cycle index within the
+    #: sequence group that first detects it
     first_detection: Dict[Fault, int] = field(default_factory=dict)
 
     @property
@@ -354,6 +356,10 @@ def sequential_fault_grade(
 
     ``backend`` pins grading to ``"scalar"`` or ``"numpy"``; ``None``
     defers to ``REPRO_SIM_BACKEND``.
+
+    ``first_detection`` maps each detected fault to the *cycle* (0-based,
+    within its packed group of <= ``SEQUENCE_PACK_LIMIT`` sequences) at
+    which a primary output first differs -- not to a pattern index.
     """
     chosen: List[Fault] = list(faults)
     if sample is not None and sample < len(chosen):

@@ -15,6 +15,7 @@ import pytest
 from repro.designs import build_system1, build_system2, build_system3, build_system4
 from repro.errors import SimulationError
 from repro.faults import FaultSimulator, collapse_faults, full_fault_universe
+from repro.faults import kernel as fk
 from repro.faults.simulator import (
     SEQUENCE_PACK_LIMIT,
     clear_cone_caches,
@@ -50,8 +51,12 @@ _KINDS2 = [
 ]
 
 
-def random_seq_netlist(seed: int) -> GateNetlist:
-    """Random netlist with DFF state feedback for sequential grading."""
+def random_seq_netlist(seed: int, loops: bool = False) -> GateNetlist:
+    """Random netlist with DFF state feedback for sequential grading.
+
+    With ``loops`` every flop captures a gate that reads the flop itself,
+    so a fault's corrupted state keeps feeding back into its own gate.
+    """
     rng = random.Random(seed)
     n = GateNetlist(f"s{seed}")
     nets = []
@@ -61,6 +66,13 @@ def random_seq_netlist(seed: int) -> GateNetlist:
     for i in range(rng.randint(1, 4)):
         flops.append(f"ff{i}")
         nets.append(flops[-1])
+    heads = {}
+    if loops:
+        for name in flops:
+            heads[name] = n.add_gate(
+                f"h_{name}", rng.choice(_KINDS2), [name, rng.choice(nets)]
+            )
+        nets.extend(heads.values())
     for i in range(rng.randint(4, 14)):
         if rng.random() < 0.2:
             kind = GateKind.NOT
@@ -71,10 +83,14 @@ def random_seq_netlist(seed: int) -> GateNetlist:
         nets.append(n.add_gate(f"g{i}", kind, fanins))
     comb = [x for x in nets if not x.startswith("ff")]
     for name in flops:
-        n.add_gate(name, GateKind.DFF, [rng.choice(comb)])
+        n.add_gate(name, GateKind.DFF, [heads.get(name) or rng.choice(comb)])
     for i, net in enumerate(nets[-2:]):
         n.add_gate(f"O{i}", GateKind.OUTPUT, [net])
     return n.validate()
+
+
+def _looped_seq_netlist(seed: int) -> GateNetlist:
+    return random_seq_netlist(seed, loops=True)
 
 
 def grade_both_backends(run):
@@ -270,13 +286,41 @@ class TestFaultSimParity:
         assert batches == sorted(batches), "detected order must follow batch order"
         assert delta.get("faultsim.faults.dropped", 0) == len(result.detected)
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_sequential_identical(self, seed):
-        netlist = random_seq_netlist(seed)
+    @pytest.mark.parametrize(
+        "seed, counts, cycles, chunk, build",
+        [
+            pytest.param(s, (1, 5, 64, 70), (1, 6), None, random_seq_netlist, id=str(s))
+            for s in range(12)
+        ]
+        # a tiny fault chunk: faults drop mid-chunk, at different cycles
+        + [
+            pytest.param(s, (5, 64), (4, 8), 5, random_seq_netlist, id=f"chunk5-{s}")
+            for s in range(4)
+        ]
+        # 130 sequences: one group, three words per fault
+        + [
+            pytest.param(s, (130,), (3, 6), None, random_seq_netlist, id=f"words3-{s}")
+            for s in range(3)
+        ]
+        # long sequences: corrupted flop state feeds back into pin faults
+        + [
+            pytest.param(s, (1, 5), (8, 12), None, _looped_seq_netlist, id=f"long-{s}")
+            for s in range(12)
+        ]
+        # no flops at all (and MUX2/BUF pin faults), dropping mid-chunk
+        + [
+            pytest.param(s, (5, 64), (2, 4), 5, random_netlist, id=f"noflops-{s}")
+            for s in range(3)
+        ],
+    )
+    def test_sequential_identical(self, monkeypatch, seed, counts, cycles, chunk, build):
+        if chunk is not None:
+            monkeypatch.setattr(fk, "FAULT_CHUNK", chunk)
+        netlist = build(seed)
         faults = full_fault_universe(netlist)
         rng = random.Random(2000 + seed)
         inputs = [g.name for g in netlist.inputs]
-        nseq, ncyc = rng.choice([1, 5, 64, 70]), rng.randint(1, 6)
+        nseq, ncyc = rng.choice(counts), rng.randint(*cycles)
         sequences = [
             [{name: rng.randint(0, 1) for name in inputs} for _ in range(ncyc)]
             for _ in range(nseq)
