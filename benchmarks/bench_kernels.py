@@ -34,8 +34,8 @@ from repro.obs import METRICS
 from repro.util import render_table
 
 ROUNDS = 1
-#: sequential whole-chip grading floor, asserted when cpus >= 4 (same
-#: physical-runner gate as bench_parallel's pool-speedup floor)
+#: sequential whole-chip grading floor, asserted when cpus >= 4 (a
+#: physical-runner gate)
 KERNEL_SPEEDUP_FLOOR = 5.0
 SEQUENCES = 16
 SEQUENCE_LENGTH = 12
@@ -149,9 +149,8 @@ def test_kernel_speedups(benchmark, results_dir, system1):
     )
 
     cpus = os.cpu_count() or 1
-    # kernel speedup is arithmetic density, not pool fan-out, but a
-    # starved shared runner still skews wall clocks -- same gate as
-    # bench_parallel's pool floor
+    # kernel speedup is arithmetic density, but a starved shared runner
+    # still skews wall clocks
     if cpus >= 4:
         assert sequential["speedup"] >= KERNEL_SPEEDUP_FLOOR, (
             f"sequential kernel speedup {sequential['speedup']:.1f}x below "

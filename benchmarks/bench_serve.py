@@ -3,8 +3,8 @@
 Runs an in-process ``repro serve`` daemon on a unix-domain socket and
 drives it the way clients would:
 
-* **cold** -- the first full-sweep request per job count pays the SOC
-  build, the executor spin-up, and the whole design-space plan;
+* **cold** -- the first full-sweep request pays the SOC build and the
+  whole design-space plan;
 * **warm** -- repeats of the same request are served from the daemon's
   result cache (zero planning work), measured as p50/p99 latency;
 * **concurrent** -- :data:`CLIENTS` client threads issue warm requests
@@ -16,11 +16,11 @@ the warm result must be byte-identical to the cold one.  The cold/warm
 ratio must clear :data:`WARM_SPEEDUP_FLOOR` -- the resident state is
 the whole reason the daemon exists.
 
-``BENCH_serve.json`` carries per-jobs cold latencies, the warm latency
+``BENCH_serve.json`` carries the cold latency, the warm latency
 distribution, and the concurrent throughput; the run also lands in the
 benchmark ledger for ``repro regress`` (``serve.*`` and ``exec.*``
-counters are exempt from the exact gate -- they track load and pool
-reuse, not planned work).
+counters are exempt from the exact gate -- they track load and cache
+warmth, not planned work).
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from repro.serve import ServeClient, ServeConfig, start_background
 from repro.util import render_table
 
 ROUNDS = 1
-#: daemon --jobs settings benchmarked (cold sweep latency per setting)
-JOB_COUNTS = (1, 2)
 #: sequential warm requests measured for the latency distribution
 WARM_ROUNDS = 30
 #: concurrent client threads (the acceptance floor is 8)
@@ -63,9 +61,9 @@ def _sweep_once(client: ServeClient) -> tuple:
     return time.perf_counter() - start, result
 
 
-def _drive_daemon(socket_path: str, jobs: int) -> dict:
-    """Cold + warm phases against a fresh daemon at one --jobs setting."""
-    daemon = start_background(ServeConfig(address=f"unix:{socket_path}", jobs=jobs))
+def _drive_daemon(socket_path: str) -> dict:
+    """Cold, warm and concurrent phases against a fresh daemon."""
+    daemon = start_background(ServeConfig(address=f"unix:{socket_path}"))
     try:
         with ServeClient(daemon.address) as client:
             cold_s, cold_result = _sweep_once(client)
@@ -74,7 +72,7 @@ def _drive_daemon(socket_path: str, jobs: int) -> dict:
             for _ in range(WARM_ROUNDS):
                 latency, warm_result = _sweep_once(client)
                 warm_latencies.append(latency)
-        concurrent = _drive_concurrent(daemon.address) if jobs == 1 else None
+        concurrent = _drive_concurrent(daemon.address)
         with ServeClient(daemon.address) as client:
             stats = client.stats()
             client.shutdown()
@@ -133,17 +131,14 @@ def run_serving() -> dict:
     from conftest import RESULTS_DIR
 
     RESULTS_DIR.mkdir(exist_ok=True)
-    runs = {}
-    for jobs in JOB_COUNTS:
-        socket_path = RESULTS_DIR / f"bench_serve_{jobs}.sock"
+    socket_path = RESULTS_DIR / "bench_serve.sock"
+    if socket_path.exists():
+        socket_path.unlink()
+    try:
+        return _drive_daemon(str(socket_path))
+    finally:
         if socket_path.exists():
             socket_path.unlink()
-        try:
-            runs[jobs] = _drive_daemon(str(socket_path), jobs)
-        finally:
-            if socket_path.exists():
-                socket_path.unlink()
-    return runs
 
 
 def _reference_points() -> list:
@@ -166,44 +161,38 @@ def _reference_points() -> list:
 
 def test_serve_daemon(benchmark, results_dir):
     METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    runs = benchmark.pedantic(run_serving, rounds=ROUNDS, iterations=1)
+    run = benchmark.pedantic(run_serving, rounds=ROUNDS, iterations=1)
 
-    reference = _reference_points()
-    for jobs, run in runs.items():
-        # determinism: daemon results == one-shot CLI results, cold == warm
-        assert run["cold_result"]["points"] == reference, (
-            f"jobs={jobs}: daemon sweep diverged from one-shot design_space"
-        )
-        assert run["warm_result"] == run["cold_result"], (
-            f"jobs={jobs}: warm result differs from cold"
-        )
-
-    serial = runs[JOB_COUNTS[0]]
-    for result in serial["concurrent"]["results"]:
-        assert result == serial["cold_result"], (
+    # determinism: daemon results == one-shot CLI results, cold == warm
+    assert run["cold_result"]["points"] == _reference_points(), (
+        "daemon sweep diverged from one-shot design_space"
+    )
+    assert run["warm_result"] == run["cold_result"], "warm result differs from cold"
+    for result in run["concurrent"]["results"]:
+        assert result == run["cold_result"], (
             "a concurrent client saw a divergent sweep result"
         )
 
     # the resident state must pay off: warm >= 3x faster than cold
-    warm_p50 = _percentile(serial["warm_latencies"], 50)
-    speedup = serial["cold_s"] / max(warm_p50, 1e-9)
+    warm_p50 = _percentile(run["warm_latencies"], 50)
+    warm_p99 = _percentile(run["warm_latencies"], 99)
+    speedup = run["cold_s"] / max(warm_p50, 1e-9)
     assert speedup >= WARM_SPEEDUP_FLOOR, (
         f"warm/cold speedup {speedup:.1f}x below {WARM_SPEEDUP_FLOOR}x "
-        f"(cold {serial['cold_s']:.3f}s, warm p50 {warm_p50:.4f}s)"
+        f"(cold {run['cold_s']:.3f}s, warm p50 {warm_p50:.4f}s)"
     )
     # ...and the hits must come from the daemon's result cache
-    cache = serial["stats"]["result_cache"]
+    cache = run["stats"]["result_cache"]
     assert cache["hits"] >= WARM_ROUNDS, cache
 
-    concurrent = serial["concurrent"]
+    concurrent = run["concurrent"]
     payload = {
         "system": _BENCH_SYSTEM,
-        "job_counts": list(JOB_COUNTS),
-        "cold_s": {str(jobs): runs[jobs]["cold_s"] for jobs in runs},
+        "cold_s": run["cold_s"],
         "warm": {
             "rounds": WARM_ROUNDS,
             "p50_s": warm_p50,
-            "p99_s": _percentile(serial["warm_latencies"], 99),
+            "p99_s": warm_p99,
             "speedup_vs_cold": speedup,
         },
         "concurrent": {
@@ -218,17 +207,13 @@ def test_serve_daemon(benchmark, results_dir):
     }
     write_bench_json(results_dir, "serve", benchmark, payload, rounds=ROUNDS)
 
-    rows = [
-        [
-            str(jobs),
-            f"{runs[jobs]['cold_s'] * 1000:.1f}",
-            f"{_percentile(runs[jobs]['warm_latencies'], 50) * 1000:.2f}",
-            f"{_percentile(runs[jobs]['warm_latencies'], 99) * 1000:.2f}",
-        ]
-        for jobs in runs
-    ]
+    rows = [[
+        f"{run['cold_s'] * 1000:.1f}",
+        f"{warm_p50 * 1000:.2f}",
+        f"{warm_p99 * 1000:.2f}",
+    ]]
     text = render_table(
-        ["jobs", "cold (ms)", "warm p50 (ms)", "warm p99 (ms)"],
+        ["cold (ms)", "warm p50 (ms)", "warm p99 (ms)"],
         rows,
         title=f"repro serve: {_BENCH_SYSTEM} sweep latency",
     )

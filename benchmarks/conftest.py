@@ -33,7 +33,6 @@ import repro.atpg.combinational  # noqa: F401
 import repro.atpg.podem  # noqa: F401
 import repro.dft.hscan  # noqa: F401
 import repro.exec.cache  # noqa: F401
-import repro.exec.pool  # noqa: F401
 import repro.faults.kernel  # noqa: F401
 import repro.faults.simulator  # noqa: F401
 import repro.flow.explain  # noqa: F401

@@ -80,7 +80,7 @@ def main():
     soc.wire("FILTER", "RESULT", None, "POUT")
 
     ccg = build_ccg(soc)
-    print(f"\nCCG: {ccg.number_of_nodes()} nodes, {ccg.number_of_edges()} edges")
+    print(f"\nCCG: {len(ccg.nodes)} nodes, {sum(1 for _ in ccg.edges())} edges")
     target = ("CO", "FILTER", "RESULT", 0, 8)
     result = shortest_justification(ccg, target)
     assert result is not None

@@ -27,10 +27,8 @@ Usage (after ``pip install -e .``)::
 Global observability flags work on every subcommand (before or after
 it): ``--trace FILE`` writes a Chrome ``trace_event`` JSON of the run,
 ``--metrics`` appends the full instrument table, and ``-v``/``-vv``
-turn on INFO/DEBUG logging from the library.  ``--jobs N`` (or the
-``REPRO_JOBS`` env var) fans the parallel stages -- per-core ATPG, the
-design-space sweep, per-point scheduling -- over N worker processes;
-results are bit-identical at any job count.
+turn on INFO/DEBUG logging from the library.  Every stage runs
+serially in this process.
 """
 
 from __future__ import annotations
@@ -160,7 +158,7 @@ def cmd_sweep(args) -> int:
     from repro.soc import design_space
 
     soc = _build_system(args.system)
-    points = design_space(soc, jobs=getattr(args, "jobs", None))
+    points = design_space(soc)
     print(render_sweep(soc.name, [
         {"index": p.index, "chip_cells": p.chip_cells, "tat": p.tat,
          "label": p.label()}
@@ -173,7 +171,7 @@ def cmd_compare(args) -> int:
     from repro.flow import render_area_table, render_schedule_table, run_socet
 
     soc = _build_system(args.system)
-    run = run_socet(soc, jobs=getattr(args, "jobs", None))
+    run = run_socet(soc)
     print(render_area_table(run.area_rows()))
     print()
     print(render_schedule_table(run.schedule_rows()))
@@ -381,7 +379,6 @@ def cmd_profile(args) -> int:
         args.system,
         seed=args.seed,
         max_faults=max_faults,
-        jobs=getattr(args, "jobs", None),
     )
     print(report.render())
     if args.ledger:
@@ -450,7 +447,6 @@ def cmd_report(args) -> int:
             args.system,
             seed=args.seed,
             max_faults=QUICK_MAX_FAULTS if args.quick else None,
-            jobs=getattr(args, "jobs", None),
         )
     finally:
         if not was_enabled:
@@ -501,7 +497,6 @@ def cmd_explain(args) -> int:
         args.system,
         seed=args.seed,
         max_faults=QUICK_MAX_FAULTS if args.quick else None,
-        jobs=getattr(args, "jobs", None),
         top_k=args.top,
     )
     record = report.ledger_record(bench=series)
@@ -569,7 +564,6 @@ def cmd_serve(args) -> int:
 
     daemon = ServeDaemon(ServeConfig(
         address=args.listen,
-        jobs=getattr(args, "jobs", None),
         ledger=args.ledger,
         max_queue=args.max_queue,
         address_file=args.address_file,
@@ -702,13 +696,6 @@ def _observability_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "-v", "--verbose", action="count", default=argparse.SUPPRESS,
         help="library logging: -v for INFO, -vv for DEBUG",
-    )
-    execution = parent.add_argument_group("execution")
-    execution.add_argument(
-        "-j", "--jobs", type=int, metavar="N", default=argparse.SUPPRESS,
-        help="worker processes for the parallel stages (0 = one per CPU; "
-             "default REPRO_JOBS or 1 = serial; results are identical "
-             "at any job count)",
     )
     return parent
 
@@ -981,9 +968,9 @@ def build_parser() -> argparse.ArgumentParser:
             "faults (PODEM effort ledger), simulation work per (level, gate\n"
             "kind), and the optimizer's move trajectory.  --json emits the raw\n"
             "byte-stable 'repro-attrib' artifact, checkable offline with\n"
-            "'python -m repro.obs.attrib FILE'; it is bit-identical at any\n"
-            "--jobs count and under either simulation backend.  REPRO_ATTRIB=deep\n"
-            "adds per-fault-site cone-walk detail.\n"
+            "'python -m repro.obs.attrib FILE'; it is bit-identical under\n"
+            "either simulation backend.  REPRO_ATTRIB=deep adds per-fault-site\n"
+            "cone-walk detail.\n"
         ),
     )
     p_explain.add_argument("system")

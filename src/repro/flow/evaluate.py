@@ -20,7 +20,7 @@ an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.atpg.combinational import CombinationalAtpg
 from repro.baselines.fscan_bscan import fscan_bscan_report
@@ -84,70 +84,38 @@ def _sequential_row(
     )
 
 
-def _evaluation_task(context, spec):
-    """One unit of Table 3 work (runs inside a worker).
-
-    ``spec`` is either ``("seq", configuration, with_hscan)`` -- a
-    whole-chip sequential grading row -- or ``("atpg", core_name)`` --
-    one core's combinational ATPG + fault grading.
-    """
-    soc, seed, sequences, length, sample = context
-    if spec[0] == "seq":
-        _, configuration, with_hscan = spec
-        return _sequential_row(
-            soc, soc.name, configuration, with_hscan, sequences, length, sample, seed,
-            scan_access="none",
-        )
-    core = soc.cores[spec[1]]
-    outcome = CombinationalAtpg(elaborate(core.circuit).netlist, seed=seed).run()
-    return core.name, outcome.report
-
-
-def _scan_coverage(
-    soc: Soc, seed: int, jobs: Optional[int] = None
-) -> Dict[str, CoverageReport]:
-    """Per-core ATPG coverage (shared by FSCAN-BSCAN and SOCET rows)."""
-    from repro.exec import ParallelExecutor
-
-    with profile_section("atpg.scan_coverage", soc=soc.name):
-        tasks = [("atpg", core.name) for core in soc.testable_cores()]
-        with ParallelExecutor(jobs, context=(soc, seed, 0, 0, 0)) as executor:
-            return dict(executor.map(_evaluation_task, tasks))
-
-
 def evaluate_system(
     soc: Soc,
     seed: int = 0,
     sequences: int = 24,
     sequence_length: int = 16,
     fault_sample: int = 160,
-    jobs: Optional[int] = None,
 ) -> SystemEvaluation:
     """Measure every Table 3 row for ``soc``.
 
     ``fault_sample`` bounds the sequential grading cost (statistical
     fault sampling); the scan-based rows grade the full collapsed
-    universe of each core.  ``jobs`` fans the rows out over worker
-    processes -- the two sequential gradings and every core's ATPG are
-    independent -- with results identical to the serial run.
+    universe of each core.
     """
-    from repro.exec import ParallelExecutor
-
     evaluation = SystemEvaluation(soc=soc)
     system = soc.name
 
     # HSCAN row: cores carry their scan logic but the chip gives no
     # access to it (scan pins unrouted) -- the paper's point that
     # core-level testability alone leaves the chip poorly testable
-    tasks = [("seq", "Orig.", False), ("seq", "HSCAN", True)]
-    tasks += [("atpg", core.name) for core in soc.testable_cores()]
-    context = (soc, seed, sequences, sequence_length, fault_sample)
-    with ParallelExecutor(jobs, context=context) as executor:
-        results = executor.map(_evaluation_task, tasks)
-
-    evaluation.rows.append(results[0])
-    evaluation.rows.append(results[1])
-    per_core = dict(results[2:])
+    for configuration, with_hscan in (("Orig.", False), ("HSCAN", True)):
+        evaluation.rows.append(
+            _sequential_row(
+                soc, system, configuration, with_hscan,
+                sequences, sequence_length, fault_sample, seed,
+            )
+        )
+    per_core = {
+        core.name: CombinationalAtpg(elaborate(core.circuit).netlist, seed=seed)
+        .run()
+        .report
+        for core in soc.testable_cores()
+    }
     evaluation.per_core_reports = per_core
     merged = CoverageReport(total=0, detected=0)
     for report in per_core.values():
@@ -166,7 +134,7 @@ def evaluate_system(
 
     from repro.soc.optimizer import design_space
 
-    points = design_space(soc, jobs=jobs)
+    points = design_space(soc)
     min_area = points[0]
     min_tat = min(points, key=lambda p: (p.tat, p.chip_cells))
     for label, point in (("SOCET Min. Area", min_area), ("SOCET Min. TApp.", min_tat)):

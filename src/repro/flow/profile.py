@@ -58,7 +58,7 @@ class ProfileReport:
         """This run as a ``repro-ledger`` record (see :mod:`repro.obs.ledger`).
 
         ``bench`` defaults to ``profile-<system>``; pass an explicit
-        series key when variants (``--quick``, job counts) must not
+        series key when variants (e.g. ``--quick``) must not
         share a baseline window.
         """
         from repro.obs.ledger import make_record
@@ -86,8 +86,8 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def _profile_atpg_task(context, circuit) -> int:
-    """One core's ATPG regeneration (runs inside a worker)."""
+def _regenerate_atpg(circuit, seed: int, max_faults: Optional[int]) -> int:
+    """One core's ATPG regeneration; returns the pattern count."""
     import random
 
     from repro.atpg.combinational import CombinationalAtpg
@@ -95,7 +95,6 @@ def _profile_atpg_task(context, circuit) -> int:
     from repro.faults.collapse import collapse_faults
     from repro.faults.model import full_fault_universe
 
-    seed, max_faults = context
     netlist = elaborate(circuit).netlist
     faults = None
     if max_faults is not None:
@@ -117,19 +116,14 @@ def profile_system(
     system: str,
     seed: int = 0,
     max_faults: Optional[int] = None,
-    jobs: Optional[int] = None,
 ) -> ProfileReport:
     """Run every pipeline stage on ``system`` and collect the breakdown.
 
     ``max_faults`` caps the per-core ATPG fault list (a seeded sample of
     the collapsed universe) -- the CLI's ``--quick`` mode, which keeps
     every stage and counter live while cutting minutes to seconds.
-    ``jobs`` fans per-core ATPG and the design-space sweep over worker
-    processes; worker counters and stage timings merge back into the
-    registry, so the breakdown stays complete.
     """
     from repro.designs import system_builders
-    from repro.exec import ParallelExecutor
     from repro.soc.optimizer import SocetOptimizer, design_space
     from repro.soc.plan import plan_soc_test
 
@@ -146,14 +140,13 @@ def profile_system(
 
         # ATPG + fault-sim: regenerate each core's precomputed test set
         # (system builders ship vendor vector counts, so run it explicitly)
-        circuits = [core.circuit for core in soc.testable_cores()]
-        with ParallelExecutor(jobs, context=(seed, max_faults)) as executor:
-            executor.map(_profile_atpg_task, circuits)
+        for core in soc.testable_cores():
+            _regenerate_atpg(core.circuit, seed, max_faults)
 
         # chip-level: the reservation-aware path search over the whole
         # design space (every version selection)
         plan = plan_soc_test(soc)
-        points = design_space(soc, jobs=jobs)
+        points = design_space(soc)
 
         # optimizer: iterative improvement up to the largest design's area
         budget = max(point.chip_cells for point in points)

@@ -20,7 +20,7 @@ ids (see DESIGN.md, "Diagnostic contract"):
 
 Alongside the domain rules, :mod:`repro.lint.codestyle` is an AST-based
 determinism lint for the codebase itself (``python -m
-repro.lint.codestyle``): the parallel executor and the plan cache rely
+repro.lint.codestyle``): deterministic runs and the plan cache rely
 on bit-identical replay, so unseeded RNGs, wall-clock reads in planner
 code, and ordering-sensitive ``set`` iteration are design-rule
 violations too.

@@ -1,8 +1,7 @@
 """AST-based determinism lint for the codebase itself.
 
-The parallel executor (:mod:`repro.exec`) promises bit-identical results
-at any job count, and the plan cache replays side effects verbatim --
-both collapse if library code consults ambient nondeterminism.  Three
+Runs are bit-identical under a fixed seed, and the plan cache
+(:mod:`repro.exec`) replays side effects verbatim -- both collapse if library code consults ambient nondeterminism.  Three
 rules, enforced in CI over ``src/``:
 
 * **DET001 unseeded-random** -- module-level ``random.*`` calls (the

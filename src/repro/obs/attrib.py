@@ -27,11 +27,8 @@ Three attribution planes feed one collector:
   append-only stream, summarized into wasted-move ratio, plateau
   length, and per-move-kind yield.
 
-The collector mirrors the metrics registry's cross-process discipline:
-:meth:`AttribCollector.mark` / :meth:`AttribCollector.delta_since` /
-:meth:`AttribCollector.merge_delta` ship plain picklable deltas through
-the ``ParallelExecutor`` result tuples, merged in submission order so
-any job count folds to the same state.  Collection is off by default;
+The collector is process-wide and append-only, so the folded state is a
+pure function of the seed.  Collection is off by default;
 ``REPRO_ATTRIB`` (``off``/``on``/``deep``) or
 :meth:`AttribCollector.configure` turns it on.  Every hook early-returns
 on one attribute check when off.
@@ -115,12 +112,7 @@ def _band(value: int) -> str:
 
 
 class AttribCollector:
-    """Append-only effort ledgers for the three attribution planes.
-
-    State is plain ints/lists/dicts so deltas pickle across worker
-    processes; merge order (submission order in the executor) is the
-    only order, which makes the folded state independent of job count.
-    """
+    """Append-only effort ledgers for the three attribution planes."""
 
     __slots__ = ("mode", "_podem", "_sim", "_scalars", "_cones", "_moves",
                  "_seen_points")
@@ -239,83 +231,8 @@ class AttribCollector:
         })
         _MOVE_EVENTS.inc()
 
-    # -- cross-process deltas ------------------------------------------
-    def mark(self) -> Dict[str, Any]:
-        """Snapshot for a later :meth:`delta_since` (cheap, by-value)."""
-        return {
-            "cones": dict(sorted(self._cones.items())),
-            "moves": len(self._moves),
-            "podem": len(self._podem),
-            "scalars": dict(sorted(self._scalars.items())),
-            "sim": {
-                bucket: (row[0], row[1])
-                for bucket, row in sorted(self._sim.items())
-            },
-        }
 
-    def delta_since(self, mark: Mapping[str, Any]) -> Dict[str, Any]:
-        """Picklable increment of the collector state since ``mark``.
-
-        Zero increments are dropped so an idle worker ships an empty
-        delta; list planes ship the appended suffix.
-        """
-        sim: Dict[str, List[int]] = {}
-        base_sim = mark["sim"]
-        for bucket, row in sorted(self._sim.items()):
-            base = base_sim.get(bucket, (0, 0))
-            good, sweep = row[0] - base[0], row[1] - base[1]
-            if good or sweep:
-                sim[bucket] = [good, sweep]
-        scalars: Dict[str, int] = {}
-        base_scalars = mark["scalars"]
-        for name, value in sorted(self._scalars.items()):
-            grown = value - base_scalars.get(name, 0)
-            if grown:
-                scalars[name] = grown
-        cones: Dict[str, int] = {}
-        base_cones = mark["cones"]
-        for site, walks in sorted(self._cones.items()):
-            grown = walks - base_cones.get(site, 0)
-            if grown:
-                cones[site] = grown
-        delta: Dict[str, Any] = {}
-        podem = self._podem[mark["podem"]:]
-        if podem:
-            delta["podem"] = podem
-        moves = self._moves[mark["moves"]:]
-        if moves:
-            delta["moves"] = moves
-        if sim:
-            delta["sim"] = sim
-        if scalars:
-            delta["scalars"] = scalars
-        if cones:
-            delta["cones"] = cones
-        return delta
-
-    def merge_delta(self, delta: Mapping[str, Any]) -> None:
-        """Fold a worker's delta in (idempotence is the caller's job).
-
-        The companion metric counters are *not* re-incremented here --
-        they ship through the metrics registry's own delta machinery.
-        """
-        self._podem.extend(delta.get("podem", ()))
-        self._moves.extend(delta.get("moves", ()))
-        sim = self._sim
-        for bucket, grown in sorted(delta.get("sim", {}).items()):
-            row = sim.get(bucket)
-            if row is None:
-                row = sim[bucket] = [0, 0]
-            row[0] += grown[0]
-            row[1] += grown[1]
-        for name, grown in sorted(delta.get("scalars", {}).items()):
-            self._scalars[name] = self._scalars.get(name, 0) + grown
-        for site, grown in sorted(delta.get("cones", {}).items()):
-            self._cones[site] = self._cones.get(site, 0) + grown
-
-
-#: process-wide collector; worker processes inherit its state at fork
-#: and ship increments back through the executor's result tuples.
+#: process-wide collector shared by every instrumented module
 ATTRIB = AttribCollector()
 
 

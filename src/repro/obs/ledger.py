@@ -16,7 +16,7 @@ versioned::
       "samples": [0.0041, 0.0043],      # per-round raw wall times (seconds)
       "counters": {"atpg.podem.backtracks": 7010, ...},  # zeros included
       "env": {"python": "3.12.1", "platform": "linux",
-              "cpus": 8, "repro_jobs": null},
+              "cpus": 8},
       "histograms": {"serve.queue_wait": {"count": 12, "sum": 0.8,
                      "p50": 0.05, ...}, ...},  # optional (v3), summaries
       "results": {...}                  # optional free-form payload
@@ -76,7 +76,7 @@ _REQUIRED_FIELDS = {
     "env": dict,
 }
 
-_ENV_FIELDS = ("python", "platform", "cpus", "repro_jobs")
+_ENV_FIELDS = ("python", "platform", "cpus")
 
 
 # ----------------------------------------------------------------------
@@ -85,17 +85,15 @@ _ENV_FIELDS = ("python", "platform", "cpus", "repro_jobs")
 def environment_fingerprint() -> Dict:
     """The run environment facts a comparison must hold constant.
 
-    Python version and CPU count move the wall-time distribution;
-    ``REPRO_JOBS`` moves which execution path ran.  The regression gate
-    downgrades the wall-time comparison to advisory when fingerprints
-    differ (cross-machine baselines) while keeping the counter gate
-    exact -- counters are pure functions of the seed and job plan.
+    Python version and CPU count move the wall-time distribution.  The
+    regression gate downgrades the wall-time comparison to advisory when
+    fingerprints differ (cross-machine baselines) while keeping the
+    counter gate exact -- counters are pure functions of the seed.
     """
     return {
         "python": platform.python_version(),
         "platform": sys.platform,
         "cpus": os.cpu_count() or 1,
-        "repro_jobs": os.environ.get("REPRO_JOBS"),
     }
 
 

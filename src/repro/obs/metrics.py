@@ -219,13 +219,12 @@ class MetricsRegistry:
                 instrument.reset()
 
     # ------------------------------------------------------------------
-    # cross-process accounting (worker pools)
+    # windowed accounting
     # ------------------------------------------------------------------
     def mark(self) -> Dict[str, Dict[str, Number]]:
         """A cheap position marker for :meth:`delta_since`.
 
-        Worker processes inherit the parent registry's state at fork, so
-        a (mark, delta) pair brackets exactly the work one task did.
+        A (mark, delta) pair brackets exactly the work done in between.
         """
         return {
             "counters": {name: c.value for name, c in self._counters.items()},
@@ -233,7 +232,7 @@ class MetricsRegistry:
         }
 
     def delta_since(self, mark: Dict[str, Dict[str, Number]]) -> Dict[str, Dict]:
-        """Everything recorded since ``mark`` (picklable, mergeable).
+        """Everything recorded since ``mark``.
 
         Counters come back as increments, histograms as the list of new
         observations; gauges are point-in-time values and are excluded.
@@ -251,15 +250,6 @@ class MetricsRegistry:
             if h.count > base:
                 histograms[name] = list(h._values[base:])
         return {"counters": counters, "histograms": histograms}
-
-    def merge_delta(self, delta: Dict[str, Dict]) -> None:
-        """Fold a worker's :meth:`delta_since` result into this registry."""
-        for name, increment in delta.get("counters", {}).items():
-            self.counter(name).inc(increment)
-        for name, values in delta.get("histograms", {}).items():
-            histogram = self.histogram(name)
-            for value in values:
-                histogram.observe(value)
 
 
 #: the process-wide registry every instrumented module shares

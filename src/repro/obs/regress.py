@@ -189,12 +189,11 @@ class GatePolicy:
     resamples: int = 1000
     confidence: float = 0.95
     #: counter prefixes excluded from the exact gate.  The ``exec.``
-    #: layer is execution-strategy bookkeeping -- pool sizing, task
-    #: chunking, cache warmth -- that varies with the job count and
-    #: prior runs, while the *work* counters merged back from workers
-    #: stay bit-identical at any job count.  ``serve.`` counters track
-    #: daemon load (batching, queue depth, result-cache warmth) and
-    #: depend on request arrival timing, not on the planned work.
+    #: counters track plan-cache warmth (hits and misses), which depends
+    #: on what ran earlier in the process, not on the planned work.
+    #: ``serve.`` counters track daemon load (batching, queue depth,
+    #: result-cache warmth) and depend on request arrival timing, not
+    #: on the planned work.
     #: ``attrib.``/``explain.`` are the same execution-bookkeeping
     #: class: how many attribution records/explain runs happened depends
     #: on whether ``REPRO_ATTRIB`` was on, not on the planned work --
@@ -231,7 +230,10 @@ class GatePolicy:
 
 
 def env_compatible(a: Dict, b: Dict) -> bool:
-    """Same python minor version, platform, CPU count, and job setting."""
+    """Same python minor version, platform, and CPU count.
+
+    Keys other than these (``repro_jobs`` on older records) are ignored.
+    """
 
     def minor(version: str) -> str:
         return ".".join(str(version).split(".")[:2])
@@ -240,7 +242,6 @@ def env_compatible(a: Dict, b: Dict) -> bool:
         minor(a.get("python", "")) == minor(b.get("python", ""))
         and a.get("platform") == b.get("platform")
         and a.get("cpus") == b.get("cpus")
-        and a.get("repro_jobs") == b.get("repro_jobs")
     )
 
 

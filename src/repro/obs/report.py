@@ -195,7 +195,7 @@ class RunReport:
             (
                 "environment",
                 f"python {env.get('python')}, {env.get('platform')}, "
-                f"{env.get('cpus')} CPUs, REPRO_JOBS={env.get('repro_jobs')}",
+                f"{env.get('cpus')} CPUs",
             ),
         ]
         if self.baseline:

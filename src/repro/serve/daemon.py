@@ -15,7 +15,7 @@ Lifecycle::
 Graceful drain (SIGTERM, or the ``shutdown`` op): stop accepting
 submissions, finish the running batch *and* everything already queued,
 flush the session's completed-job record to the run ledger (when
-``--ledger`` is set), release the worker pools, exit 0.  A second
+``--ledger`` is set), exit 0.  A second
 SIGTERM hard-drains: still-queued jobs are cancelled, the running batch
 finishes at its next checkpoint, the flush still happens.
 
@@ -60,7 +60,6 @@ class ServeConfig:
     """Daemon settings (the CLI maps its flags straight onto this)."""
 
     address: str = "127.0.0.1:7457"
-    jobs: Optional[int] = None
     ledger: Optional[str] = None
     max_queue: int = 256
     #: series key of the session's ledger record
@@ -77,7 +76,7 @@ class ServeDaemon:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self.state = WarmState(self.config.jobs)
+        self.state = WarmState()
         self.queue = JobQueue(self.config.max_queue)
         self.jobs: Dict[str, Job] = {}
         self.address: Optional[str] = None
@@ -153,7 +152,6 @@ class ServeDaemon:
             self._flush_ledger()
             self._server.close()
             await self._server.wait_closed()
-            self.state.close()
             self._worker.shutdown(wait=True)
             logger.info("repro-serve drained; exiting")
 
@@ -379,7 +377,6 @@ class ServeDaemon:
             stats={
                 "address": self.address,
                 "uptime_s": time.monotonic() - self._started_monotonic,
-                "jobs_setting": self.state.jobs,
                 "queue_depth": len(self.queue),
                 "draining": self._drain_requested,
                 "jobs_total": len(self.jobs),

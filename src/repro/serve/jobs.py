@@ -335,7 +335,7 @@ class JobQueue:
 
         Called right after ``job`` (itself a sweep) is popped: the
         returned jobs ride in the same batch -- their design-space
-        points are chunked together before fan-out -- ordered by
+        points are unioned and planned once -- ordered by
         ``(-priority, seq)`` like the queue itself.
         """
         if job.type != "sweep":

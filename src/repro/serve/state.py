@@ -7,9 +7,6 @@ expensive stays warm across requests, in one process:
   synthesis) once, on its first request, then reused; the incremental
   plan cache (:mod:`repro.exec.cache`) attached to it keeps warming up
   with every plan/sweep that touches it;
-* **worker pools** -- one :class:`~repro.exec.pool.ParallelExecutor`
-  per system, created on the first sweep and kept alive (the pool
-  reuse shows up on ``exec.pool.reuses``), closed only at drain;
 * **results** -- ``plan`` / ``sweep`` / ``lint`` jobs are pure
   functions of ``(system, params)``, so their JSON results are
   memoized; a warm repeat request never re-plans at all
@@ -18,13 +15,12 @@ expensive stays warm across requests, in one process:
 Batched sweeps: the dispatcher hands :func:`run_batch` every queued
 sweep job for one system at once.  The runner unions the design-space
 points the uncached jobs need (full product order first, then extra
-explicit selections in arrival order), chunks them across the resident
-executor in **one** fan-out, and scatters each job its own result --
-bit-identical to what a one-shot ``repro sweep`` computes, because it
-is the same planner on the same chunking discipline.
+explicit selections in arrival order), plans each once, and scatters
+each job its own result -- bit-identical to what a one-shot ``repro
+sweep`` computes, because it is the same planner in the same order.
 
 All functions here run on the daemon's single worker thread; between
-chunks they poll each batched job's cooperative cancellation flag and
+points they poll each batched job's cooperative cancellation flag and
 deadline (see :func:`repro.serve.jobs.checkpoint`).
 """
 
@@ -67,14 +63,11 @@ Outcome = Tuple[str, Any, Optional[str]]
 class WarmState:
     """The daemon's resident cross-request state (worker-thread owned)."""
 
-    def __init__(self, jobs: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         from repro.designs import system_builders
-        from repro.exec import resolve_jobs
 
-        self.jobs = resolve_jobs(jobs)
         self._builders = system_builders()
         self._socs: Dict[str, Any] = {}
-        self._executors: Dict[str, Any] = {}
         self._results: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -92,25 +85,6 @@ class WarmState:
         self._socs[system] = soc
         _SOC_BUILDS.inc()
         return soc
-
-    def executor(self, system: str):
-        """The resident per-system executor (kept alive across sweeps)."""
-        executor = self._executors.get(system)
-        if executor is None:
-            from repro.exec import ParallelExecutor
-            from repro.soc.optimizer import sweep_context
-
-            executor = ParallelExecutor(
-                self.jobs, context=sweep_context(self.soc(system))
-            )
-            self._executors[system] = executor
-        return executor
-
-    def close(self) -> None:
-        """Release the worker pools (drain path)."""
-        for executor in self._executors.values():
-            executor.close()
-        self._executors.clear()
 
     # ------------------------------------------------------------------
     def cached_result(self, job: Job) -> Optional[Any]:
@@ -231,7 +205,7 @@ def _run_sweep_batch(state: WarmState, batch: List[Job]) -> List[Tuple[Job, Outc
             return outcomes
         run_start = time.monotonic()
         with profile_section("serve.batch", system=system, jobs=len(alive)):
-            plans, dead = _plan_combos(state, soc, combos, alive)
+            plans, dead = _plan_combos(soc, core_names, combos, alive)
         run_end = time.monotonic()
         for job, outcome in dead:
             job.add_phase("run", run_start, run_end, outcome=outcome[0])
@@ -296,14 +270,11 @@ def _needed_combos(soc, core_names: List[str], jobs: List[Job]):
     return combos, per_job_combos, failures
 
 
-def _plan_combos(state: WarmState, soc, combos, jobs: List[Job]):
-    """Plan every combo through the resident executor, checkpointing
-    each batched job between chunks (serial executors only -- a
-    parallel fan-out is a single non-preemptible map)."""
-    from repro.soc.optimizer import _chunked, _sweep_chunk
+def _plan_combos(soc, core_names, combos, jobs: List[Job]):
+    """Plan every combo on the warm SOC, checkpointing each batched job
+    before every point."""
+    from repro.soc.plan import plan_soc_test
 
-    executor = state.executor(soc.name)
-    chunks = _chunked(combos, executor.jobs * 2)
     dead: List[Tuple[Job, Outcome]] = []
 
     def poll() -> List[Job]:
@@ -320,21 +291,11 @@ def _plan_combos(state: WarmState, soc, combos, jobs: List[Job]):
                 dead.append((job, (TIMEOUT, None, f"timed out after {job.timeout_s}s")))
         return still
 
-    plans: List = []
-    if executor.parallel:
-        poll()
-        if len(dead) < len(jobs):
-            for chunk_plans in executor.map(_sweep_chunk, chunks, chunksize=1):
-                plans.extend(chunk_plans)
-    else:
-        for chunk in chunks:
-            if not poll():
-                break
-            plans.extend(executor.map(_sweep_chunk, [chunk], chunksize=1)[0])
     plan_by_combo: Dict[Tuple[int, ...], Any] = {}
-    for combo, plan in zip(combos, plans):
-        plan.soc = soc  # workers strip the SOC before pickling results
-        plan_by_combo[combo] = plan
+    for combo in combos:
+        if not poll():
+            break
+        plan_by_combo[combo] = plan_soc_test(soc, dict(zip(core_names, combo)))
     return plan_by_combo, dead
 
 
@@ -416,7 +377,6 @@ def _run_profile(state: WarmState, job: Job) -> Dict[str, Any]:
         job.system,
         seed=seed,
         max_faults=QUICK_MAX_FAULTS if quick else None,
-        jobs=state.jobs,
     )
     for name, value in serve_counters.items():
         METRICS.counter(name).inc(value)
@@ -452,7 +412,6 @@ def _run_explain(state: WarmState, job: Job) -> Dict[str, Any]:
         job.system,
         seed=seed,
         max_faults=QUICK_MAX_FAULTS if quick else None,
-        jobs=state.jobs,
         top_k=top_k,
     )
     for name, value in serve_counters.items():

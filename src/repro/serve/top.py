@@ -147,8 +147,7 @@ def render_frame(
             depth_note = f" ({moved:+d})"
     lines = [
         f"repro top -- {stats.get('address', '?')}  "
-        f"up {stats.get('uptime_s', 0.0):.0f}s  "
-        f"workers {stats.get('jobs_setting') or 'serial'}"
+        f"up {stats.get('uptime_s', 0.0):.0f}s"
         + ("  DRAINING" if stats.get("draining") else ""),
         "",
         f"queue {queue_depth}{depth_note}  "

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.errors import AttribSchemaError, LedgerSchemaError, UsageError
-from repro.obs import METRICS
 from repro.obs.attrib import (
     ATTRIB,
     ATTRIB_MODES,
@@ -100,35 +99,21 @@ class TestCollector:
         )
         return collector
 
+    @staticmethod
+    def state(collector):
+        return (collector._podem, collector._sim, collector._scalars,
+                collector._cones, collector._moves, collector._seen_points)
+
     def test_reset_keeps_mode(self):
         collector = self.build("deep")
         collector.reset()
         assert collector.mode == "deep"
-        assert collector.mark() == AttribCollector().mark()
-
-    def test_delta_roundtrip_rebuilds_state(self):
-        source = self.build()
-        delta = source.delta_since(AttribCollector().mark())
-        sink = AttribCollector()
-        sink.configure("on")
-        sink.merge_delta(delta)
-        assert sink.mark() == source.mark()
-
-    def test_idle_delta_is_empty(self):
-        collector = self.build()
-        assert collector.delta_since(collector.mark()) == {}
-
-    def test_merge_does_not_reincrement_metric_counters(self):
-        source = self.build()
-        delta = source.delta_since(AttribCollector().mark())
-        before = METRICS.counters()["attrib.podem.records"]
-        AttribCollector().merge_delta(delta)
-        assert METRICS.counters()["attrib.podem.records"] == before
+        assert self.state(collector) == self.state(AttribCollector())
 
     def test_deep_mode_tracks_cone_sites(self):
         collector = self.build("deep")
         collector.sim_cone({"1:and": 1}, "n::g1")
-        assert collector.mark()["cones"] == {"n::g1": 2}
+        assert collector._cones == {"n::g1": 2}
 
     def test_revisited_point_classifies_as_cache_hit(self):
         collector = self.build()
@@ -137,10 +122,7 @@ class TestCollector:
             tat_before=90, tat_after=95, outcome="reject-no-gain",
             point=(("CPU", 1),),
         )
-        events = collector.mark()["moves"]
-        assert events == 2
-        delta = collector.delta_since(AttribCollector().mark())
-        assert [event["cache"] for event in delta["moves"]] == ["miss", "hit"]
+        assert [event["cache"] for event in collector._moves] == ["miss", "hit"]
 
     def test_hooks_are_noops_when_off(self):
         collector = AttribCollector()
@@ -165,7 +147,7 @@ class TestPodemPlane:
             result = podem(netlist, fault)
             assert result.implications >= 1
             assert result.restarts >= 0
-        records = ATTRIB.delta_since(AttribCollector().mark())["podem"]
+        records = ATTRIB._podem
         assert len(records) == 6
         for record in records:
             assert record["site"] in ("stem", "pin", "flop-pin")
@@ -198,11 +180,6 @@ class TestExplain:
 
     def test_byte_stable_across_runs(self):
         assert explain().artifact_json() == explain().artifact_json()
-
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_byte_identical_across_job_counts(self, jobs):
-        serial = explain(jobs=1).artifact_json()
-        assert explain(jobs=jobs).artifact_json() == serial
 
     @pytest.mark.parametrize(
         "system", ["System1", "System2", "System3", "System4"]
@@ -437,7 +414,7 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# executor integration: attribution deltas ship like metrics deltas
+# integration: regress gate and the serve daemon
 # ----------------------------------------------------------------------
 class TestExecutorDeltas:
     def test_regress_gate_ignores_attrib_counters(self):
@@ -451,7 +428,7 @@ class TestExecutorDeltas:
         from repro.serve.jobs import Job
         from repro.serve.state import WarmState, run_batch
 
-        state = WarmState(jobs=1)
+        state = WarmState()
         job = Job(id="j0001", seq=0, type="explain", system="System1",
                   params={"quick": True, "seed": 0, "top_k": 4})
         ((_job, (outcome, result, error)),) = run_batch(state, [job])
@@ -459,4 +436,3 @@ class TestExecutorDeltas:
         assert outcome == "done"
         assert validate_artifact(result["artifact"]) == []
         assert len(result["artifact"]["planes"]["atpg"]["hard_faults"]) <= 4
-        state.close()

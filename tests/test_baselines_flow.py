@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import fscan_bscan_report, evaluate_test_bus
 from repro.designs import build_display, build_system1, build_system2
 from repro.dft.tat import fscan_bscan_core_tat
-from repro.flow import flatten_soc, prepare_core, run_socet
+from repro.flow import flatten_soc, prepare_core, prepare_cores, run_socet
 from repro.gates import GateKind, SequentialSimulator
 from repro.soc import plan_soc_test, synthesize_controller
 from repro.soc.controller import clock_enable_trace
@@ -118,6 +118,18 @@ class TestCoreLevelFlow:
         table = prep.version_latency_table()
         assert table[0]["version"] == "Version 1"
         assert any(k.startswith("propagate") for k in table[0])
+
+    def test_prepare_cores_matches_prepare_core(self):
+        from repro.designs import build_gcd, build_preprocessor
+
+        circuits = [build_gcd(), build_preprocessor()]
+        for prep, circuit in zip(prepare_cores(circuits, seed=0), circuits):
+            single = prepare_core(circuit, seed=0)
+            assert prep.name == single.name == circuit.name
+            assert prep.vector_count == single.vector_count
+            assert prep.atpg.report.fault_coverage == single.atpg.report.fault_coverage
+            assert prep.hscan.extra_area == single.hscan.extra_area
+            assert [v.name for v in prep.versions] == [v.name for v in single.versions]
 
 
 class TestChipLevelFlow:

@@ -16,7 +16,7 @@ from repro.obs.metrics import MetricsRegistry
 def snapshot_with_everything():
     registry = MetricsRegistry()
     registry.counter("serve.requests").inc(7)
-    registry.counter("exec.pool.spans_shipped").inc(3)
+    registry.counter("exec.cache.hits").inc(3)
     registry.gauge("serve.queue.depth").set(2)
     hist = registry.histogram("serve.queue_wait")
     for value in (0.01, 0.02, 0.03, 0.04, 0.10):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.designs import build_system1, build_system2, build_system3, build_system4
 from repro.errors import SimulationError
-from repro.faults import FaultSimulator, collapse_faults, full_fault_universe
+from repro.faults import Fault, FaultSimulator, collapse_faults, full_fault_universe
 from repro.faults import kernel as fk
 from repro.faults.simulator import (
     SEQUENCE_PACK_LIMIT,
@@ -331,6 +331,40 @@ class TestFaultSimParity:
             )
         )
         assert_identical(out)
+
+    def test_sequential_feedback_into_pin_fault(self):
+        """Corrupted flop state feeds back into the pin-faulted gate.
+
+        ``q' = q XOR en`` with ``en`` stuck-at-0 on the XOR pin: the
+        faulty flop never leaves 0, so the fault shows once ``obs``
+        samples ``q`` at cycle 2.  A pin correction that read the good
+        plane would copy the good ``q`` into the faulty flop (one cycle
+        late) and miss the fault at cycle 2.
+        """
+        netlist = GateNetlist("toggle")
+        netlist.add_gate("en", GateKind.INPUT)
+        netlist.add_gate("obs", GateKind.INPUT)
+        netlist.add_gate("t", GateKind.XOR, ["q", "en"])
+        netlist.add_gate("q", GateKind.DFF, ["t"])
+        netlist.add_gate("o", GateKind.AND, ["q", "obs"])
+        netlist.add_gate("O", GateKind.OUTPUT, ["o"])
+        netlist.add_gate("E", GateKind.OUTPUT, ["en"])  # en fans out: pin faults exist
+        netlist.validate()
+        sequences = [[
+            {"en": en, "obs": obs}
+            for en, obs in ((1, 0), (0, 0), (0, 1), (0, 0))
+        ]]
+        faults = full_fault_universe(netlist)
+        out = grade_both_backends(
+            lambda backend: sequential_fault_grade(
+                netlist, sequences, faults, backend=backend
+            )
+        )
+        assert_identical(out)
+        result, _ = out["numpy"]
+        en_stuck = Fault("t", 1, 0)
+        assert en_stuck in faults
+        assert result.first_detection[en_stuck] == 2
 
     def test_sequential_chunking_past_pack_limit(self):
         """More than SEQUENCE_PACK_LIMIT sequences grades in chunks."""

@@ -20,7 +20,7 @@ from repro.obs.ledger import (
 )
 
 #: a fixed fingerprint so record-construction tests are hermetic
-ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8, "repro_jobs": None}
+ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
 
 
 def record(bench="schedule", samples=(0.004, 0.005), counters=None, **kwargs):
@@ -62,8 +62,12 @@ class TestRecordConstruction:
 
     def test_environment_fingerprint_fields(self):
         env = environment_fingerprint()
-        assert set(env) == {"python", "platform", "cpus", "repro_jobs"}
+        assert set(env) == {"python", "platform", "cpus"}
         assert env["cpus"] >= 1
+
+    def test_legacy_repro_jobs_env_key_still_validates(self):
+        legacy = record(env=dict(ENV, repro_jobs=None))
+        validate_record(legacy)
 
     def test_utc_timestamp_format(self):
         assert utc_timestamp(0.0) == "1970-01-01T00:00:00Z"
@@ -229,50 +233,6 @@ class TestRunLedger:
         assert validate_file(str(single)) == "ledger-record"
 
 
-class TestFanOutDeterminism:
-    """Worker-pool counter merges land in ledger records bit-identically
-    at any job count (``exec.*`` is execution-strategy bookkeeping --
-    chunk counts, pool sizing -- and explicitly outside the guarantee)."""
-
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_design_space_counters_identical_across_jobs(self, tmp_path, jobs):
-        from repro.designs import build_system1
-        from repro.soc.optimizer import design_space
-
-        def run(job_count):
-            soc = build_system1()
-            METRICS.reset()
-            design_space(soc, jobs=job_count, use_cache=False)
-            return make_record(
-                "fanout",
-                [1.0],
-                registry=METRICS,
-                env=ENV,
-                git_sha=None,
-                timestamp="2026-08-06T12:00:00Z",
-            )
-
-        def stable(rec):
-            return {
-                name: value
-                for name, value in rec["counters"].items()
-                if not name.startswith("exec.")
-            }
-
-        serial, fanned = run(1), run(jobs)
-        assert stable(serial) == stable(fanned)
-        assert stable(serial)  # the run actually counted work
-
-        ledger = RunLedger(tmp_path / "ledger.jsonl")
-        ledger.append(serial)
-        ledger.append(fanned)
-        first, second = ledger.records("fanout")
-        assert stable(first) == stable(second)
-
-
-# ----------------------------------------------------------------------
-# schema v3: the optional 'histograms' field
-# ----------------------------------------------------------------------
 class TestHistogramsField:
     def summary(self, values):
         from repro.obs.metrics import MetricsRegistry

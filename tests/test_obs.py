@@ -1,11 +1,12 @@
 """Tests for the observability layer (tracing, metrics, profiling, CLI)."""
 
 import json
+import threading
 
 import pytest
 
 from repro.errors import BenchSchemaError
-from repro.obs import METRICS, Tracer, profile_section, stage_rows
+from repro.obs import METRICS, Tracer, profile_section, span_tree_problems, stage_rows
 from repro.obs.benchjson import (
     bench_payload,
     validate_bench,
@@ -136,6 +137,33 @@ class TestTracer:
             pass
         tracer.clear()
         assert tracer.events() == []
+
+    def test_threads_nest_independently(self):
+        tracer = Tracer(enabled=True)
+
+        def thread_body(index):
+            with tracer.span("thread", index=index):
+                with tracer.span("thread.step"):
+                    pass
+
+        threads = [threading.Thread(target=thread_body, args=(i,)) for i in range(4)]
+        with tracer.span("root"):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        events = tracer.events()
+        assert span_tree_problems(events) == []  # unique ids, zero orphans
+        validate_chrome_trace(json.loads(json.dumps(tracer.chrome_trace())))
+        spans = {e["args"]["span_id"]: e for e in events}
+        steps = [e for e in events if e["name"] == "thread.step"]
+        assert len(steps) == 4
+        # each step's parent is a thread span recorded on the same thread
+        for event in steps:
+            parent = spans[event["args"]["parent_id"]]
+            assert parent["name"] == "thread"
+            assert parent["tid"] == event["tid"]
+            assert event["args"]["depth"] == 1
 
 
 class TestProfileSection:

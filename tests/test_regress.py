@@ -20,8 +20,8 @@ from repro.obs.regress import (
     rank_sum_u,
 )
 
-ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8, "repro_jobs": None}
-OTHER_ENV = {"python": "3.12.0", "platform": "linux", "cpus": 2, "repro_jobs": None}
+ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
+OTHER_ENV = {"python": "3.12.0", "platform": "linux", "cpus": 2}
 
 
 def record(bench="b", samples=(1.0,), counters=None, env=ENV):
@@ -142,9 +142,9 @@ class TestCounterGate:
 
     def test_ignore_prefixes(self):
         drifts = compare_counters(
-            {"exec.pool.fallbacks": 1, "real": 2},
-            {"exec.pool.fallbacks": 0, "real": 2},
-            ignore=("exec.pool.",),
+            {"exec.cache.hits": 1, "real": 2},
+            {"exec.cache.hits": 0, "real": 2},
+            ignore=("exec.",),
         )
         assert drifts == []
 
@@ -158,9 +158,13 @@ class TestEnvCompatibility:
             dict(ENV, python="3.11.7"), dict(ENV, python="3.12.1")
         )
 
-    def test_cpus_and_jobs_must_match(self):
+    def test_cpus_must_match(self):
         assert not env_compatible(ENV, OTHER_ENV)
-        assert not env_compatible(ENV, dict(ENV, repro_jobs="4"))
+
+    def test_legacy_repro_jobs_key_is_ignored(self):
+        # records written before the job-count knob was removed carry it
+        assert env_compatible(ENV, dict(ENV, repro_jobs=None))
+        assert env_compatible(dict(ENV, repro_jobs="4"), ENV)
 
 
 class TestCompareRecords:

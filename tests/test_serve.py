@@ -5,8 +5,7 @@ queue (priority order, coalescing, capacity), the daemon's full request
 lifecycle over a unix-domain socket (submit/wait/cancel/timeout, result
 caching, batched sweeps, per-tenant counters), determinism against the
 one-shot planners, graceful drain -- including the subprocess SIGTERM
-path with the ledger flush -- and the env-validation satellites
-(``REPRO_PLAN_CACHE`` / ``REPRO_JOBS``).
+path with the ledger flush -- and ``REPRO_PLAN_CACHE`` validation.
 """
 
 import json
@@ -481,30 +480,6 @@ class TestEnvValidation:
             cache_enabled()
         assert "fales" in str(err.value)
         assert CACHE_ENV in str(err.value)
-
-    def test_jobs_rejects_garbage_with_offending_string(self, monkeypatch):
-        from repro.exec.pool import JOBS_ENV, resolve_jobs
-
-        monkeypatch.setenv(JOBS_ENV, "many")
-        with pytest.raises(UsageError) as err:
-            resolve_jobs()
-        assert "many" in str(err.value)
-        assert JOBS_ENV in str(err.value)
-
-
-class TestPoolReuse:
-    def test_reuse_counter_increments_across_maps(self):
-        from repro.exec import ParallelExecutor
-        from tests.test_exec import _square
-
-        counter = METRICS.counter("exec.pool.reuses")
-        with ParallelExecutor(2) as executor:
-            executor.map(_square, [1, 2, 3, 4])
-            if not executor.parallel:
-                pytest.skip("process pools unavailable on this platform")
-            before = counter.value
-            executor.map(_square, [5, 6, 7, 8])
-            assert counter.value > before
 
 
 # ----------------------------------------------------------------------

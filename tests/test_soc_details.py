@@ -80,7 +80,7 @@ class TestCcgDetails:
     def test_ccg_nodes_match_paper_structure(self, system1):
         ccg = build_ccg(system1)
         kinds = {}
-        for _, data in ccg.nodes(data=True):
+        for data in ccg.nodes.values():
             kinds[data["kind"]] = kinds.get(data["kind"], 0) + 1
         assert kinds["PI"] == 3  # Video, NUM, Reset
         assert kinds["PO"] == 6  # PORT1..6

@@ -83,7 +83,7 @@ class TestCcg:
         ccg = build_ccg(two_core_soc())
         assert ("PI", "PIN") in ccg.nodes
         assert ("PO", "POUT") in ccg.nodes
-        kinds = {d["kind"] for _, _, d in ccg.edges(data=True)}
+        kinds = {d["kind"] for _, _, d in ccg.edges()}
         assert kinds == {"transparency", "wire"}
 
     def test_shortest_justification(self):
