@@ -136,13 +136,6 @@ def run_matrix(soc):
 
 
 def test_kernel_speedups(benchmark, results_dir, system1):
-    from repro.gates.kernel import numpy_available
-
-    if not numpy_available():  # the numpy column is the whole point here
-        import pytest
-
-        pytest.skip("numpy unavailable: kernel bench needs both backends")
-
     METRICS.reset()  # BENCH json carries exactly the measured runs' counters
     sequential, cores = benchmark.pedantic(
         run_matrix, args=(system1,), rounds=ROUNDS, iterations=1

@@ -40,9 +40,6 @@ import repro.gates.kernel  # noqa: F401
 import repro.lint.registry  # noqa: F401
 import repro.obs.attrib  # noqa: F401
 import repro.schedule.packers  # noqa: F401
-import repro.serve.daemon  # noqa: F401
-import repro.serve.jobs  # noqa: F401
-import repro.serve.state  # noqa: F401
 import repro.soc.ccg  # noqa: F401
 import repro.soc.optimizer  # noqa: F401
 import repro.soc.plan  # noqa: F401

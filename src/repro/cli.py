@@ -19,10 +19,6 @@ Usage (after ``pip install -e .``)::
     python -m repro report System1 --quick    # markdown/HTML run report
     python -m repro explain System1 --quick   # search-effort attribution report
     python -m repro explain System1 --json    # ...as the repro-attrib artifact
-    python -m repro serve                     # resident planning daemon
-    python -m repro submit sweep System1 --wait   # ...job via the daemon
-    python -m repro jobs                      # ...daemon job/queue status
-    python -m repro top 127.0.0.1:7457        # ...live daemon dashboard
 
 Global observability flags work on every subcommand (before or after
 it): ``--trace FILE`` writes a Chrome ``trace_event`` JSON of the run,
@@ -35,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro import __version__
 from repro.errors import ReproError, UsageError
@@ -137,33 +133,17 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def render_sweep(system: str, points: List[Dict]) -> str:
-    """The ``repro sweep`` output over plain point dicts.
-
-    Shared by the one-shot command and ``repro submit sweep --wait``
-    (which gets the same dicts over the wire), so the two paths are
-    byte-identical by construction.
-    """
-    rows = [[p["index"], p["chip_cells"], p["tat"], p["label"]] for p in points]
-    table = render_table(["pt", "chip cells", "TAT", "versions"], rows,
-                         title=f"{system}: design space")
-    best = min(points, key=lambda p: (p["tat"], p["chip_cells"]))
-    return (f"{table}\n"
-            f"\nmin-area: point 1 ({points[0]['tat']} cycles); "
-            f"min-TAT: point {best['index']} ({best['tat']} cycles, "
-            f"{best['label']})")
-
-
 def cmd_sweep(args) -> int:
     from repro.soc import design_space
 
     soc = _build_system(args.system)
     points = design_space(soc)
-    print(render_sweep(soc.name, [
-        {"index": p.index, "chip_cells": p.chip_cells, "tat": p.tat,
-         "label": p.label()}
-        for p in points
-    ]))
+    rows = [[p.index, p.chip_cells, p.tat, p.label()] for p in points]
+    print(render_table(["pt", "chip cells", "TAT", "versions"], rows,
+                       title=f"{soc.name}: design space"))
+    best = min(points, key=lambda p: (p.tat, p.chip_cells))
+    print(f"\nmin-area: point 1 ({points[0].tat} cycles); "
+          f"min-TAT: point {best.index} ({best.tat} cycles, {best.label()})")
     return 0
 
 
@@ -413,9 +393,6 @@ def cmd_regress(args) -> int:
         counter_ignore=ignore if args.ignore_counter else GatePolicy.counter_ignore,
         wall_gate=args.wall_gate,
         counter_gate=not args.no_counter_gate,
-        hist_gate=not args.no_hist_gate,
-        hist_percentile=args.hist_percentile,
-        hist_min_ratio=args.hist_min_ratio,
     )
     try:
         report = compare_ledgers(
@@ -531,148 +508,6 @@ def cmd_explain(args) -> int:
     else:
         print(rendered)
     return 0
-
-
-# ----------------------------------------------------------------------
-# serving
-# ----------------------------------------------------------------------
-#: where ``repro submit``/``repro jobs`` connect by default (the
-#: daemon's default listen address)
-DEFAULT_SERVE_ADDRESS = "127.0.0.1:7457"
-
-
-def _wire_selection(spec: Optional[str]) -> Optional[Dict[str, int]]:
-    """A ``CORE=N,...`` string as the wire's 1-based selection mapping.
-
-    Only the shape is checked here -- unknown cores and out-of-range
-    versions are validated daemon-side against the warm SOC.
-    """
-    if not spec:
-        return None
-    selection: Dict[str, int] = {}
-    for item in spec.split(","):
-        try:
-            core_name, version = item.split("=")
-            selection[core_name] = int(version)
-        except ValueError:
-            raise UsageError(f"bad selection item {item!r}; expected CORE=N")
-    return selection
-
-
-def cmd_serve(args) -> int:
-    from repro.serve import ServeConfig, ServeDaemon
-
-    daemon = ServeDaemon(ServeConfig(
-        address=args.listen,
-        ledger=args.ledger,
-        max_queue=args.max_queue,
-        address_file=args.address_file,
-    ))
-    return daemon.run()
-
-
-def _connect_client(address: str):
-    from repro.serve import ServeClient
-
-    try:
-        return ServeClient(address)
-    except OSError as error:
-        raise UsageError(f"cannot connect to daemon at {address!r}: {error}")
-
-
-def _submit_params(args) -> Dict:
-    selection = _wire_selection(args.select)
-    if args.type == "plan":
-        return {"select": selection} if selection else {}
-    if args.type == "sweep":
-        return {"selections": [selection]} if selection else {}
-    if args.type in ("profile", "explain"):
-        return {"quick": args.quick, "seed": args.seed}
-    return {}
-
-
-def _write_job_trace(path: str, job_id: str, spans: List[Dict]) -> None:
-    """The job's span tree as a Chrome ``trace_event`` file."""
-    import json
-
-    with open(path, "w") as handle:
-        json.dump(
-            {"traceEvents": spans, "displayTimeUnit": "ms",
-             "metadata": {"job": job_id}},
-            handle, indent=2, sort_keys=True,
-        )
-        handle.write("\n")
-    print(f"wrote job trace to {path}", file=sys.stderr)
-
-
-def cmd_submit(args) -> int:
-    import json
-
-    if args.job_trace and not args.wait:
-        raise UsageError("--job-trace requires --wait (spans exist once the "
-                         "job is terminal)")
-    with _connect_client(args.connect) as client:
-        job_id = client.submit(
-            args.type,
-            args.system,
-            params=_submit_params(args),
-            priority=args.priority,
-            timeout_s=args.timeout,
-            tenant=args.tenant,
-        )
-        if not args.wait:
-            print(job_id)
-            return 0
-        descriptor, result = client.wait(job_id)
-        if args.job_trace:
-            _write_job_trace(args.job_trace, job_id, client.spans(job_id))
-    if descriptor["state"] != "done":
-        print(f"repro: job {job_id} {descriptor['state']}: "
-              f"{descriptor['error']}", file=sys.stderr)
-        return 1
-    if args.json or args.type != "sweep":
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        # same renderer as `repro sweep`, so the outputs are identical
-        print(render_sweep(result["system"], result["points"]))
-    return 0
-
-
-def cmd_jobs(args) -> int:
-    import json
-
-    with _connect_client(args.connect) as client:
-        listing = client.jobs()
-        stats = client.stats()
-    if args.json:
-        print(json.dumps({"jobs": listing, "stats": stats},
-                         indent=2, sort_keys=True))
-        return 0
-    rows = [
-        [job["id"], job["type"], job["system"] or "-", job["tenant"],
-         job["priority"], job["state"],
-         "-" if job["wall_s"] is None else f"{job['wall_s']:.3f}s"]
-        for job in listing
-    ]
-    print(render_table(
-        ["job", "type", "system", "tenant", "prio", "state", "wall"],
-        rows, title=f"jobs on {args.connect}",
-    ))
-    print(f"\nqueue depth: {stats['queue_depth']}; "
-          f"result cache: {stats['result_cache']['size']} entries "
-          f"({stats['result_cache']['hits']} hits); "
-          f"draining: {stats['draining']}")
-    return 0
-
-
-def cmd_top(args) -> int:
-    from repro.serve.top import run_top
-
-    if args.interval <= 0:
-        raise UsageError("--interval must be positive")
-    return run_top(
-        args.address, interval=args.interval, once=args.once, expo=args.expo
-    )
 
 
 # ----------------------------------------------------------------------
@@ -847,10 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "exit codes:\n"
-            "  0  pass: no wall-time regression, counter drift, or SLO breach\n"
-            "  1  regression: a series got significantly slower, a\n"
-            "     deterministic counter drifted (correctness alarm), and/or a\n"
-            "     latency percentile breached its SLO ratio\n"
+            "  0  pass: no wall-time regression or counter drift\n"
+            "  1  regression: a series got significantly slower and/or a\n"
+            "     deterministic counter drifted (correctness alarm)\n"
             "  2  usage error (missing ledger, unknown series)\n"
             "  3  nothing compared (no series had enough baseline records)\n"
         ),
@@ -890,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_regress.add_argument(
         "--ignore-counter", action="append", metavar="PREFIX",
         help="counter prefix excluded from the exact gate (repeatable; "
-             "default: exec., serve., attrib., explain.)",
+             "default: exec., attrib., explain.)",
     )
     p_regress.add_argument(
         "--wall-gate", default="auto", choices=["auto", "always", "off"],
@@ -900,19 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_regress.add_argument(
         "--no-counter-gate", action="store_true",
         help="disable the exact counter comparison",
-    )
-    p_regress.add_argument(
-        "--no-hist-gate", action="store_true",
-        help="disable the latency-percentile SLO gate",
-    )
-    p_regress.add_argument(
-        "--hist-percentile", default="p99", choices=["p50", "p90", "p99"],
-        help="histogram percentile the SLO gate compares (default %(default)s)",
-    )
-    p_regress.add_argument(
-        "--hist-min-ratio", type=float, default=1.5, metavar="X",
-        help="percentile ratio vs the baseline median below which the SLO "
-             "gate never trips (default %(default)s)",
     )
     p_regress.add_argument(
         "--json", action="store_true",
@@ -1006,138 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.set_defaults(func=cmd_explain)
 
-    p_serve = sub.add_parser(
-        "serve", help="run the resident planning daemon", parents=[obs],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "Speaks the line-delimited JSON 'repro-serve' protocol (see\n"
-            "DESIGN.md) over TCP or a unix-domain socket.  SIGTERM (or the\n"
-            "'shutdown' op) drains gracefully: queued jobs finish, results\n"
-            "flush to --ledger, exit 0.  A second SIGTERM cancels the queue.\n"
-        ),
-    )
-    p_serve.add_argument(
-        "--listen", default=DEFAULT_SERVE_ADDRESS, metavar="ADDR",
-        help="HOST:PORT (port 0 = ephemeral) or unix:PATH "
-             "(default %(default)s)",
-    )
-    p_serve.add_argument(
-        "--ledger", metavar="FILE",
-        help="flush the session's per-job samples to this JSONL run "
-             "ledger on drain (kind 'serve')",
-    )
-    p_serve.add_argument(
-        "--max-queue", type=int, default=256, metavar="N",
-        help="queued-job capacity before submissions are rejected "
-             "(default %(default)s)",
-    )
-    p_serve.add_argument(
-        "--address-file", metavar="FILE",
-        help="write the bound address here once listening (readiness "
-             "signal; resolves ephemeral ports)",
-    )
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit a job to a running daemon", parents=[obs],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "exit codes:\n"
-            "  0  submitted (or, with --wait, the job finished 'done')\n"
-            "  1  the awaited job failed / was cancelled / timed out, or\n"
-            "     the daemon rejected the request (queue full, draining)\n"
-            "  2  usage error (bad selection, unreachable daemon)\n"
-        ),
-    )
-    p_submit.add_argument("type",
-                          choices=["plan", "sweep", "profile", "lint", "explain"],
-                          help="job type")
-    p_submit.add_argument("system", help="system to operate on (e.g. System1)")
-    p_submit.add_argument(
-        "-s", "--select", help="version selection, e.g. CPU=3,DISPLAY=1 "
-                               "(plan and sweep jobs)",
-    )
-    p_submit.add_argument(
-        "--priority", type=int, default=0, metavar="N",
-        help="queue priority; higher runs first (default %(default)s)",
-    )
-    p_submit.add_argument(
-        "--timeout", type=float, metavar="S",
-        help="per-job execution timeout in seconds",
-    )
-    p_submit.add_argument(
-        "--tenant", default="default", metavar="NAME",
-        help="tenant tag for per-tenant accounting (default %(default)s)",
-    )
-    p_submit.add_argument(
-        "--quick", action="store_true",
-        help="profile/explain jobs: cap per-core ATPG at a sampled fault subset",
-    )
-    p_submit.add_argument("--seed", type=int, default=0,
-                          help="profile/explain jobs: ATPG seed (default 0)")
-    p_submit.add_argument(
-        "--wait", action="store_true",
-        help="block until the job finishes and print its result",
-    )
-    p_submit.add_argument(
-        "--json", action="store_true",
-        help="with --wait: print the raw JSON result (sweep jobs render "
-             "the 'repro sweep' table by default)",
-    )
-    p_submit.add_argument(
-        "--job-trace", metavar="FILE",
-        help="with --wait: write the job's daemon-side span tree "
-             "(validate -> queue-wait -> coalesce -> run -> serialize) as a "
-             "Chrome trace_event file",
-    )
-    p_submit.add_argument(
-        "--connect", default=DEFAULT_SERVE_ADDRESS, metavar="ADDR",
-        help="daemon address (default %(default)s)",
-    )
-    p_submit.set_defaults(func=cmd_submit)
-
-    p_jobs = sub.add_parser(
-        "jobs", help="list a running daemon's jobs and stats", parents=[obs]
-    )
-    p_jobs.add_argument(
-        "--connect", default=DEFAULT_SERVE_ADDRESS, metavar="ADDR",
-        help="daemon address (default %(default)s)",
-    )
-    p_jobs.add_argument(
-        "--json", action="store_true",
-        help="emit jobs and stats as a JSON document",
-    )
-    p_jobs.set_defaults(func=cmd_jobs)
-
-    p_top = sub.add_parser(
-        "top", help="live terminal dashboard over a running daemon",
-        parents=[obs],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "Polls the daemon's 'stats' and 'metrics' ops and renders queue\n"
-            "depth, job states, tenant rollups, p50/p99 latency summaries\n"
-            "(with deltas between frames), and the counters that moved.\n"
-            "Ctrl-C exits cleanly.\n"
-        ),
-    )
-    p_top.add_argument(
-        "address", nargs="?", default=DEFAULT_SERVE_ADDRESS,
-        help="daemon address (default %(default)s)",
-    )
-    p_top.add_argument(
-        "-n", "--interval", type=float, default=2.0, metavar="S",
-        help="seconds between frames (default %(default)s)",
-    )
-    p_top.add_argument(
-        "--once", action="store_true",
-        help="render one frame and exit (scriptable)",
-    )
-    p_top.add_argument(
-        "--expo", action="store_true",
-        help="print the raw Prometheus exposition instead of the dashboard "
-             "(the CI scrape path)",
-    )
-    p_top.set_defaults(func=cmd_top)
     return parser
 
 

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.faults.model import Fault
 from repro.faults.simulator import (
@@ -66,7 +68,6 @@ from repro.gates.kernel import (
     compiled_program,
     eval_group_ops,
     int_to_words,
-    np,
     tail_masks,
     word_count,
 )

@@ -145,7 +145,7 @@ class FaultSimulator:
     flip-flop D-pin nets (the full-scan observation set).
 
     ``backend`` pins grading to ``"scalar"`` or ``"numpy"``; ``None``
-    defers to ``REPRO_SIM_BACKEND`` per :meth:`run` call.  The scalar
+    uses the default (numpy) backend per :meth:`run` call.  The scalar
     path is the decision oracle: both backends produce identical results
     and identical ``faultsim.*`` counters.
     """
@@ -355,7 +355,7 @@ def sequential_fault_grade(
     estimate over the sample, reported against ``total = len(sample)``.
 
     ``backend`` pins grading to ``"scalar"`` or ``"numpy"``; ``None``
-    defers to ``REPRO_SIM_BACKEND``.
+    uses the default (numpy) backend.
 
     ``first_detection`` maps each detected fault to the *cycle* (0-based,
     within its packed group of <= ``SEQUENCE_PACK_LIMIT`` sequences) at

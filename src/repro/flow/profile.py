@@ -37,8 +37,8 @@ class ProfileReport:
     #: the full registry counter snapshot after the run, zeros included
     #: (the run ledger needs "zero" and "absent" to be different facts)
     all_counters: Dict[str, int] = field(default_factory=dict)
-    #: histogram summaries after the run (stage times, serve latencies
-    #: when profiling through the daemon) -- feeds the ledger's SLO gate
+    #: histogram summaries after the run (stage times) -- written to the
+    #: ledger record's ``histograms`` field
     histograms: Dict[str, Dict] = field(default_factory=dict)
 
     def stage(self, name: str) -> Dict:
@@ -105,8 +105,7 @@ def _regenerate_atpg(circuit, seed: int, max_faults: Optional[int]) -> int:
     return len(outcome.patterns)
 
 
-#: quick mode's per-core fault cap (``--quick`` in the CLI, the
-#: ``quick`` param of a serve ``profile`` job): small enough for
+#: quick mode's per-core fault cap (``--quick`` in the CLI): small enough for
 #: seconds-long runs, large enough that PODEM still backtracks on
 #: every example core
 QUICK_MAX_FAULTS = 60

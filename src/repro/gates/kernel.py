@@ -10,13 +10,11 @@ gate kind), evaluated with vectorized ``uint64`` bitwise ops over
 hundreds of faulty machines through the same program in one sweep
 (:mod:`repro.faults.kernel` builds the per-fault force plans).
 
-Backend selection is environment-driven: ``REPRO_SIM_BACKEND`` picks
-``scalar`` or ``numpy`` (the default).  When numpy is missing or broken
-the kernel degrades to the scalar backend with a one-line warning and a
-``sim.backend.fallbacks`` count -- never an import error.  The scalar
-path remains the bit-identity oracle: both backends must produce the
-same values, decisions, and ``faultsim.*``/``atpg.*`` counters (see
-DESIGN.md, "Vectorized kernels").
+numpy is the simulation backend at runtime.  The scalar simulators stay
+as the bit-identity oracle, reached with ``backend="scalar"``: both
+backends must produce the same values, decisions, and
+``faultsim.*``/``atpg.*`` counters (see DESIGN.md, "Vectorized
+kernels").
 
 Value-plane convention: row 0 is a reserved all-zeros word, row 1 a
 reserved all-ones word (identity padding for variable-arity gates);
@@ -27,10 +25,10 @@ extraction -- which keeps every op a pure full-word bitwise instruction.
 
 from __future__ import annotations
 
-import logging
-import os
 import weakref
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.gates.cells import SOURCE_KINDS, STATE_KINDS, GateKind
@@ -38,25 +36,10 @@ from repro.gates.levelize import depth_levels
 from repro.gates.netlist import GateNetlist
 from repro.obs import METRICS, profile_section
 
-logger = logging.getLogger("repro.gates.kernel")
-
-try:  # degrade, never crash: a broken numpy means "scalar backend"
-    import numpy as _np
-except Exception as _exc:  # pragma: no cover - exercised via _force_numpy_unavailable
-    _np = None
-    _NUMPY_ERROR: Optional[str] = f"{type(_exc).__name__}: {_exc}"
-else:
-    _NUMPY_ERROR = None
-
-np = _np  # re-exported for the fault kernel (None when unavailable)
-
 _COMPILES = METRICS.counter("kernel.compiles")
 _CACHE_REUSES = METRICS.counter("kernel.cache.reuses")
 _WORDS = METRICS.counter("kernel.words_evaluated")
-_FALLBACKS = METRICS.counter("sim.backend.fallbacks")
 
-#: environment variable selecting the simulation backend
-BACKEND_ENV = "REPRO_SIM_BACKEND"
 BACKENDS = ("scalar", "numpy")
 DEFAULT_BACKEND = "numpy"
 
@@ -66,43 +49,17 @@ ONE_ROW = 1
 
 ALL_ONES = 0xFFFFFFFFFFFFFFFF
 
-_warned_fallback = False
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can run in this process."""
-    return np is not None
-
-
-def numpy_unavailable_reason() -> Optional[str]:
-    return _NUMPY_ERROR
-
 
 def resolve_backend(override: Optional[str] = None) -> str:
-    """The backend a simulator should use right now.
+    """The backend a simulator should use: ``override`` or ``DEFAULT_BACKEND``.
 
-    ``override`` wins over the ``REPRO_SIM_BACKEND`` environment
-    variable, which wins over the default (``numpy``).  Requesting
-    ``numpy`` without a working numpy degrades to ``scalar`` with a
-    one-line warning (once per process) and a ``sim.backend.fallbacks``
-    count; an unknown name is a :class:`SimulationError`.
+    An unknown name is a :class:`SimulationError`.
     """
-    choice = override or os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-    choice = choice.strip().lower()
+    choice = (override or DEFAULT_BACKEND).strip().lower()
     if choice not in BACKENDS:
         raise SimulationError(
             f"unknown simulation backend {choice!r}: expected one of {BACKENDS}"
         )
-    if choice == "numpy" and np is None:
-        global _warned_fallback
-        _FALLBACKS.inc()
-        if not _warned_fallback:
-            _warned_fallback = True
-            logger.warning(
-                "numpy unavailable (%s): falling back to the scalar simulation "
-                "backend", _NUMPY_ERROR,
-            )
-        return "scalar"
     return choice
 
 
@@ -204,10 +161,6 @@ class CompiledProgram:
     """
 
     def __init__(self, netlist: GateNetlist) -> None:
-        if np is None:  # pragma: no cover - callers check resolve_backend first
-            raise SimulationError(
-                f"numpy backend unavailable: {_NUMPY_ERROR}"
-            )
         self.netlist = netlist
         names = list(netlist.names())
         #: gate name -> value-plane row (rows 0/1 are reserved)

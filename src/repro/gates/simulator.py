@@ -37,7 +37,7 @@ class CombinationalSimulator:
     """Levelized word-parallel evaluator for the combinational view.
 
     ``backend`` pins this simulator to ``"scalar"`` or ``"numpy"``;
-    ``None`` defers to ``REPRO_SIM_BACKEND`` (resolved per call).  Both
+    ``None`` uses the default (numpy) backend, resolved per call.  Both
     backends return bit-identical value dicts -- the scalar path is the
     oracle the compiled numpy kernels are checked against.
     """

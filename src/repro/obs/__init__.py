@@ -28,7 +28,6 @@ See DESIGN.md ("Observability") for the instrument naming contract.
 from __future__ import annotations
 
 import logging
-from typing import Optional
 
 from repro.obs.attrib import (
     ATTRIB,
@@ -44,7 +43,6 @@ from repro.obs.ledger import (
     make_record,
     pooled_samples,
 )
-from repro.obs.expo import parse_exposition, render_exposition
 from repro.obs.metrics import (
     Counter,
     DEFAULT_REGISTRY,
@@ -61,7 +59,6 @@ from repro.obs.profiler import (
 )
 from repro.obs.regress import (
     GatePolicy,
-    HistogramComparison,
     RegressionReport,
     compare_ledgers,
     compare_records,
@@ -72,7 +69,6 @@ from repro.obs.tracer import (
     NOOP_SPAN,
     Span,
     Tracer,
-    new_span_id,
     span_tree_problems,
 )
 
@@ -97,10 +93,7 @@ __all__ = [
     "Tracer",
     "TRACER",
     "NOOP_SPAN",
-    "new_span_id",
     "span_tree_problems",
-    "render_exposition",
-    "parse_exposition",
     "Timer",
     "PIPELINE_STAGES",
     "profile_section",
@@ -110,7 +103,6 @@ __all__ = [
     "environment_fingerprint",
     "pooled_samples",
     "GatePolicy",
-    "HistogramComparison",
     "RegressionReport",
     "compare_ledgers",
     "compare_records",

@@ -17,7 +17,7 @@ Three attribution planes feed one collector:
   candidates, and detection cone walks to ``level:kind`` gate buckets.
   Both backends hook the *same* oracle-semantic events (the ones behind
   ``faultsim.batches`` / ``faultsim.events`` / ``faultsim.cone.*``), so
-  the artifact is bit-identical across ``REPRO_SIM_BACKEND`` settings;
+  the artifact is bit-identical on either backend;
   backend-mechanical work (``kernel.words_evaluated``) is deliberately
   excluded.
 * **Optimizer plane** -- every candidate move evaluated by

@@ -10,14 +10,14 @@ versioned::
       "schema": "repro-ledger",
       "schema_version": 3,
       "bench": "schedule",              # series key (bench or profile name)
-      "kind": "bench",                  # "bench" | "profile" | "serve"
+      "kind": "bench",                  # "bench" | "profile" | "explain"
       "timestamp": "2026-08-06T12:00:00Z",
       "git_sha": "b9c0110...",          # null outside a git checkout
       "samples": [0.0041, 0.0043],      # per-round raw wall times (seconds)
       "counters": {"atpg.podem.backtracks": 7010, ...},  # zeros included
       "env": {"python": "3.12.1", "platform": "linux",
               "cpus": 8},
-      "histograms": {"serve.queue_wait": {"count": 12, "sum": 0.8,
+      "histograms": {"atpg.time": {"count": 4, "sum": 0.8,
                      "p50": 0.05, ...}, ...},  # optional (v3), summaries
       "results": {...}                  # optional free-form payload
     }
@@ -52,18 +52,18 @@ _APPENDS = DEFAULT_REGISTRY.counter("ledger.appends")
 
 LEDGER_SCHEMA = "repro-ledger"
 #: version history: 1 -- initial (kinds "bench"/"profile");
-#: 2 -- adds kind "serve" (a planning-daemon session: ``samples`` are
-#: per-job wall seconds, ``results`` the job summaries and tenants);
+#: 2 -- added kind "serve" (planning-daemon sessions; the daemon is
+#: gone and the kind is no longer admitted);
 #: 3 -- adds the optional ``histograms`` field ({name: summary dict},
-#: the well-defined empty-summary shape included) feeding the
-#: histogram-percentile SLO gate in :mod:`repro.obs.regress`;
+#: the well-defined empty-summary shape included; profile records carry
+#: their stage-time histograms here);
 #: 4 -- adds kind "explain" and the optional ``attrib`` field (a full
 #: ``repro-attrib`` search-effort artifact, validated against
 #: :mod:`repro.obs.attrib` on append)
 LEDGER_SCHEMA_VERSION = 4
 
 #: record kinds the schema admits
-RECORD_KINDS = ("bench", "profile", "serve", "explain")
+RECORD_KINDS = ("bench", "profile", "explain")
 
 _REQUIRED_FIELDS = {
     "schema": str,
@@ -139,8 +139,8 @@ def make_record(
     registry when neither is given), zeros included.  ``git_sha="auto"``
     resolves HEAD; pass ``None`` to record an unversioned run.
     ``histograms`` (optional, schema v3) carries summary dicts keyed by
-    instrument name -- :meth:`MetricsRegistry.histograms` output -- for
-    the percentile SLO gate; omitted entirely when not given.
+    instrument name -- :meth:`MetricsRegistry.histograms` output, e.g.
+    a profile's stage times; omitted entirely when not given.
     ``attrib`` (optional, schema v4) embeds a ``repro-attrib``
     search-effort artifact, schema-checked on its own terms.
     """

@@ -196,9 +196,8 @@ class MetricsRegistry:
 
         Unlike :meth:`histograms` (ledger records, where an empty
         histogram is dead weight), the snapshot keeps empty histograms
-        as their well-defined empty summary -- a scraper should see
-        ``serve.job_latency`` exist with count 0 before the first job
-        finishes, not have the series pop into existence later.
+        as their well-defined empty summary, so the ``--metrics`` table
+        lists every registered histogram, observed or not.
         """
         return {
             "counters": {k: v for k, v in self.counters().items() if v},

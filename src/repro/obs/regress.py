@@ -19,18 +19,10 @@ independent gates:
   seed, so they are compared *exactly*: any added, removed, or changed
   counter is flagged as a correctness alarm, never as noise.
   Zero-valued counters are recorded by the ledger precisely so this
-  gate can tell "zero" from "absent".  ``kind="serve"`` records are
-  exempt: a daemon session's counters sum whatever load the clients
-  happened to send, so there is no exact expectation to hold them to.
-* **Histogram-percentile (SLO) gate** -- latency distributions recorded
-  in the v3 ``histograms`` field (``serve.queue_wait``,
-  ``serve.job_latency``) are gated on a tail percentile: the
-  candidate's p99 must stay under ``hist_min_ratio`` times the median
-  baseline p99.  Tail latency is wall-clock circumstance like the
-  wall gate, so environment mismatches downgrade it to advisory too.
+  gate can tell "zero" from "absent".
 
 Environment fingerprints guard the wall-time gate: when the candidate
-and baseline ran on different pythons/CPU counts/job settings the
+and baseline ran on different pythons/platforms/CPU counts the
 wall-time verdict is downgraded to *advisory* (reported, not failing)
 while the counter gate stays exact -- that is what makes a committed
 cross-machine baseline usable in CI.
@@ -52,7 +44,6 @@ from repro.obs.metrics import DEFAULT_REGISTRY
 _COMPARISONS = DEFAULT_REGISTRY.counter("regress.comparisons")
 _REGRESSIONS = DEFAULT_REGISTRY.counter("regress.wall.regressions")
 _DRIFTS = DEFAULT_REGISTRY.counter("regress.counter.drifts")
-_SLO_BREACHES = DEFAULT_REGISTRY.counter("regress.hist.breaches")
 
 #: wall-gate modes: apply always, only on matching environments, or never
 WALL_GATE_MODES = ("auto", "always", "off")
@@ -191,41 +182,21 @@ class GatePolicy:
     #: counter prefixes excluded from the exact gate.  The ``exec.``
     #: counters track plan-cache warmth (hits and misses), which depends
     #: on what ran earlier in the process, not on the planned work.
-    #: ``serve.`` counters track daemon load (batching, queue depth,
-    #: result-cache warmth) and depend on request arrival timing, not
-    #: on the planned work.
     #: ``attrib.``/``explain.`` are the same execution-bookkeeping
     #: class: how many attribution records/explain runs happened depends
     #: on whether ``REPRO_ATTRIB`` was on, not on the planned work --
     #: the attributed *totals* are gated through the counters they
     #: reconcile against (``atpg.*``, ``faultsim.*``).
-    counter_ignore: Tuple[str, ...] = ("exec.", "serve.", "attrib.", "explain.")
+    counter_ignore: Tuple[str, ...] = ("exec.", "attrib.", "explain.")
     #: "auto" (downgrade on env mismatch), "always", or "off"
     wall_gate: str = "auto"
     #: exact counter comparison on/off
     counter_gate: bool = True
-    #: histogram-percentile SLO gate on/off
-    hist_gate: bool = True
-    #: histogram name prefixes the SLO gate applies to (stage ``.time``
-    #: histograms are covered by the wall gate already; the serve
-    #: latency distributions are what needs a tail guard)
-    hist_prefixes: Tuple[str, ...] = ("serve.",)
-    #: which summary percentile the SLO gate compares
-    hist_percentile: str = "p99"
-    #: candidate percentile / median baseline percentile that trips
-    hist_min_ratio: float = 1.5
-    #: minimum candidate observations before the tail is trusted
-    hist_min_count: int = 5
 
     def __post_init__(self) -> None:
         if self.wall_gate not in WALL_GATE_MODES:
             raise RegressionError(
                 f"wall_gate must be one of {WALL_GATE_MODES}, got {self.wall_gate!r}"
-            )
-        if self.hist_percentile not in ("p50", "p90", "p99"):
-            raise RegressionError(
-                "hist_percentile must be one of ('p50', 'p90', 'p99'), "
-                f"got {self.hist_percentile!r}"
             )
 
 
@@ -276,27 +247,6 @@ class CounterDrift:
 
 
 @dataclass
-class HistogramComparison:
-    """The SLO gate's outcome for one gated histogram."""
-
-    name: str
-    percentile: str
-    candidate: float
-    baseline: float
-    ratio: float
-    count: int
-    tripped: bool = False
-    advisory: bool = False
-    note: str = ""
-
-    def describe(self) -> str:
-        return (
-            f"{self.name} {self.percentile} {self.ratio:.2f}x "
-            f"({self.candidate * 1000:.2f}ms vs {self.baseline * 1000:.2f}ms)"
-        )
-
-
-@dataclass
 class BenchVerdict:
     """Every gate's outcome for one ledger series."""
 
@@ -306,16 +256,11 @@ class BenchVerdict:
     baseline_records: int = 0
     wall: Optional[WallComparison] = None
     drifts: List[CounterDrift] = field(default_factory=list)
-    hist: List[HistogramComparison] = field(default_factory=list)
     skipped: Optional[str] = None  # reason, when no comparison was possible
 
     @property
-    def slo_breaches(self) -> List[HistogramComparison]:
-        return [h for h in self.hist if h.tripped and not h.advisory]
-
-    @property
     def failed(self) -> bool:
-        if self.drifts or self.slo_breaches:
+        if self.drifts:
             return True
         return bool(self.wall and self.wall.tripped and not self.wall.advisory)
 
@@ -328,13 +273,9 @@ class BenchVerdict:
             labels.append("drift")
         if self.wall and self.wall.tripped and not self.wall.advisory:
             labels.append("slower")
-        if self.slo_breaches:
-            labels.append("slo")
         if labels:
             return "+".join(labels)
         if self.wall and self.wall.tripped and self.wall.advisory:
-            return "advisory"
-        if any(h.tripped for h in self.hist):
             return "advisory"
         return "ok"
 
@@ -363,20 +304,6 @@ class BenchVerdict:
         payload["counter_drifts"] = [
             {"counter": d.counter, "baseline": d.baseline, "candidate": d.candidate}
             for d in self.drifts
-        ]
-        payload["histograms"] = [
-            {
-                "name": h.name,
-                "percentile": h.percentile,
-                "candidate": h.candidate,
-                "baseline": h.baseline,
-                "ratio": h.ratio,
-                "count": h.count,
-                "tripped": h.tripped,
-                "advisory": h.advisory,
-                "note": h.note,
-            }
-            for h in self.hist
         ]
         return payload
 
@@ -445,72 +372,6 @@ def compare_counters(
     return drifts
 
 
-def compare_histograms(
-    candidate: Dict,
-    baseline_records: Sequence[Dict],
-    policy: GatePolicy,
-    advisory: bool = False,
-) -> List[HistogramComparison]:
-    """The percentile SLO gate over the v3 ``histograms`` field.
-
-    Every gated histogram (``hist_prefixes``) present in both the
-    candidate and at least one baseline record is compared: candidate
-    percentile against the *median* of the baseline records' same
-    percentile.  Histograms with fewer than ``hist_min_count``
-    candidate observations are reported but never tripped (a p99 of
-    three samples is the max of three samples).
-    """
-    results: List[HistogramComparison] = []
-    candidate_hists = candidate.get("histograms") or {}
-    percentile = policy.hist_percentile
-    for name in sorted(candidate_hists):
-        if not any(name.startswith(prefix) for prefix in policy.hist_prefixes):
-            continue
-        summary = candidate_hists[name]
-        value = summary.get(percentile)
-        if value is None:
-            continue  # empty candidate histogram: nothing to gate
-        baseline_values = [
-            record["histograms"][name][percentile]
-            for record in baseline_records
-            if record.get("histograms", {}).get(name, {}).get(percentile)
-            is not None
-        ]
-        if not baseline_values:
-            continue
-        baseline_value = median(baseline_values)
-        ratio = value / max(baseline_value, 1e-12)
-        comparison = HistogramComparison(
-            name=name,
-            percentile=percentile,
-            candidate=value,
-            baseline=baseline_value,
-            ratio=ratio,
-            count=int(summary.get("count", 0)),
-            advisory=advisory,
-        )
-        if comparison.count < policy.hist_min_count:
-            comparison.note = (
-                f"only {comparison.count} observations "
-                f"(< hist_min_count {policy.hist_min_count}); gate not applied"
-            )
-        elif ratio >= policy.hist_min_ratio:
-            comparison.tripped = True
-            comparison.note = (
-                f"{percentile} ratio {ratio:.3f} >= "
-                f"hist_min_ratio {policy.hist_min_ratio}"
-            )
-            if advisory:
-                comparison.note += "; environment mismatch: advisory only"
-        else:
-            comparison.note = (
-                f"{percentile} ratio {ratio:.3f} below "
-                f"hist_min_ratio {policy.hist_min_ratio}"
-            )
-        results.append(comparison)
-    return results
-
-
 def compare_records(
     candidate: Dict,
     baseline_records: Sequence[Dict],
@@ -531,15 +392,8 @@ def compare_records(
     baseline = pooled_samples(baseline_records)
     verdict.baseline_samples = len(baseline)
 
-    mismatched = any(
-        not env_compatible(candidate["env"], record["env"])
-        for record in baseline_records
-    )
-
-    # counter gate: exact match against the newest baseline record.
-    # serve sessions carry whatever counters their load produced, so
-    # there is no seed-determined expectation to compare exactly.
-    if policy.counter_gate and candidate.get("kind") != "serve":
+    # counter gate: exact match against the newest baseline record
+    if policy.counter_gate:
         verdict.drifts = compare_counters(
             candidate["counters"],
             baseline_records[-1]["counters"],
@@ -548,19 +402,12 @@ def compare_records(
         if verdict.drifts:
             _DRIFTS.inc(len(verdict.drifts))
 
-    # histogram-percentile SLO gate (tail latency is wall-clock
-    # circumstance: env mismatches downgrade it like the wall gate)
-    if policy.hist_gate:
-        verdict.hist = compare_histograms(
-            candidate, baseline_records, policy, advisory=mismatched
-        )
-        breaches = [h for h in verdict.hist if h.tripped and not h.advisory]
-        if breaches:
-            _SLO_BREACHES.inc(len(breaches))
-
     # wall gate
     if policy.wall_gate != "off":
-        advisory = policy.wall_gate == "auto" and mismatched
+        advisory = policy.wall_gate == "auto" and any(
+            not env_compatible(candidate["env"], record["env"])
+            for record in baseline_records
+        )
         if len(baseline) < policy.min_samples:
             verdict.wall = WallComparison(
                 candidate_median=median(candidate["samples"]),
@@ -633,11 +480,6 @@ class RegressionReport:
                 continue
             wall = verdict.wall
             detail = wall.note if wall else "wall gate off"
-            breaches = [h for h in verdict.hist if h.tripped]
-            if breaches:
-                detail = ", ".join(h.describe() for h in breaches[:2])
-                if breaches[0].advisory:
-                    detail += " (advisory: env mismatch)"
             if verdict.drifts:
                 shown = ", ".join(d.describe() for d in verdict.drifts[:3])
                 more = len(verdict.drifts) - 3
@@ -655,7 +497,7 @@ class RegressionReport:
         table = render_table(
             ["series", "verdict", "ratio", "candidate", "baseline", "detail"],
             rows,
-            title="Regression gates (wall-time + exact counters + latency SLOs)",
+            title="Regression gates (wall-time + exact counters)",
         )
         summary = (
             f"\n{self.compared} series compared, "

@@ -29,15 +29,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 _SPAN_IDS = itertools.count(1)
 
 
-def new_span_id() -> str:
-    """Mint a span id (``"<pid hex>-<seq hex>"``) outside any tracer.
-
-    Used by synthesized span trees (serve jobs) so their ids share the
-    allocator with live tracer spans and never collide with them.
-    """
-    return f"{os.getpid():x}-{next(_SPAN_IDS):x}"
-
-
 class _NoopSpan:
     """Shared do-nothing span returned while tracing is disabled."""
 

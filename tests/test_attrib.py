@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.errors import AttribSchemaError, LedgerSchemaError, UsageError
+from repro.gates import kernel as gk
 from repro.obs.attrib import (
     ATTRIB,
     ATTRIB_MODES,
@@ -185,9 +186,9 @@ class TestExplain:
         "system", ["System1", "System2", "System3", "System4"]
     )
     def test_byte_identical_across_backends(self, system, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "scalar")
+        monkeypatch.setattr(gk, "DEFAULT_BACKEND", "scalar")
         scalar = explain(system).artifact_json()
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "numpy")
+        monkeypatch.setattr(gk, "DEFAULT_BACKEND", "numpy")
         assert explain(system).artifact_json() == scalar
 
     def test_mode_restored_after_run(self, monkeypatch):
@@ -414,7 +415,7 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# integration: regress gate and the serve daemon
+# integration: regress gate
 # ----------------------------------------------------------------------
 class TestExecutorDeltas:
     def test_regress_gate_ignores_attrib_counters(self):
@@ -423,16 +424,3 @@ class TestExecutorDeltas:
         ignored = GatePolicy().counter_ignore
         assert "attrib." in ignored
         assert "explain." in ignored
-
-    def test_serve_explain_job(self):
-        from repro.serve.jobs import Job
-        from repro.serve.state import WarmState, run_batch
-
-        state = WarmState()
-        job = Job(id="j0001", seq=0, type="explain", system="System1",
-                  params={"quick": True, "seed": 0, "top_k": 4})
-        ((_job, (outcome, result, error)),) = run_batch(state, [job])
-        assert error is None
-        assert outcome == "done"
-        assert validate_artifact(result["artifact"]) == []
-        assert len(result["artifact"]["planes"]["atpg"]["hard_faults"]) <= 4

@@ -28,7 +28,6 @@ from repro.gates.kernel import (
     clear_kernel_caches,
     compiled_program,
     int_to_words,
-    numpy_available,
     resolve_backend,
     tail_masks,
     word_count,
@@ -38,8 +37,6 @@ from repro.gates.simulator import FaultSite
 from repro.obs import METRICS
 
 from tests.test_podem_property import random_netlist
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
 
 _KINDS2 = [
     GateKind.AND,
@@ -129,13 +126,11 @@ class TestWordPacking:
         with pytest.raises(SimulationError):
             word_count(0)
 
-    @needs_numpy
     def test_tail_masks(self):
         masks = tail_masks(130)
         assert [int(m) for m in masks] == [gk.ALL_ONES, gk.ALL_ONES, 0b11]
         assert int(tail_masks(64)[0]) == gk.ALL_ONES
 
-    @needs_numpy
     def test_int_words_roundtrip(self):
         rng = random.Random(7)
         for bits in (1, 63, 64, 65, 500):
@@ -148,35 +143,23 @@ class TestWordPacking:
 # backend selection
 # ----------------------------------------------------------------------
 class TestBackendSelection:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(gk.BACKEND_ENV, raising=False)
-        expected = "numpy" if numpy_available() else "scalar"
-        assert resolve_backend() == expected
+    def test_default(self):
+        assert resolve_backend() == "numpy"
 
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(gk.BACKEND_ENV, "scalar")
+    def test_override(self, monkeypatch):
+        # DEFAULT_BACKEND is read per call: tests flip it to run the oracle
+        monkeypatch.setattr(gk, "DEFAULT_BACKEND", "scalar")
         assert resolve_backend() == "scalar"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(gk.BACKEND_ENV, "numpy")
-        assert resolve_backend("scalar") == "scalar"
+        assert resolve_backend("numpy") == "numpy"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SimulationError, match="unknown simulation backend"):
             resolve_backend("cuda")
 
-    def test_missing_numpy_degrades_to_scalar(self, monkeypatch):
-        monkeypatch.setattr(gk, "np", None)
-        monkeypatch.setattr(gk, "_warned_fallback", False)
-        before = METRICS.counters().get("sim.backend.fallbacks", 0)
-        assert resolve_backend("numpy") == "scalar"
-        assert METRICS.counters()["sim.backend.fallbacks"] == before + 1
-
 
 # ----------------------------------------------------------------------
 # compiled-program cache
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestProgramCache:
     def test_compile_once_then_reuse(self):
         clear_kernel_caches()
@@ -210,7 +193,6 @@ class TestProgramCache:
 # ----------------------------------------------------------------------
 # good-machine value parity
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestCombinationalParity:
     @pytest.mark.parametrize("seed", range(12))
     def test_values_identical(self, seed):
@@ -248,7 +230,6 @@ class TestCombinationalParity:
 # ----------------------------------------------------------------------
 # fault grading parity (the oracle contract)
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestFaultSimParity:
     @pytest.mark.parametrize("seed", range(20))
     def test_combinational_identical(self, seed):
@@ -388,7 +369,6 @@ class TestFaultSimParity:
 # ----------------------------------------------------------------------
 # the four systems
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestSystemsParity:
     @pytest.mark.parametrize(
         "build", [build_system1, build_system2, build_system3, build_system4]

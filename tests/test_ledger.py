@@ -92,6 +92,8 @@ class TestValidation:
             (lambda r: r.update(samples=[-0.1]), "sample 0 is negative"),
             (lambda r: r.update(samples=[True]), "sample 0 is not a number"),
             (lambda r: r.update(kind="trace"), "kind 'trace'"),
+            # the planning daemon's session kind, retired with the daemon
+            (lambda r: r.update(kind="serve"), "kind 'serve' not in"),
             (lambda r: r.update(bench=""), "bench name is empty"),
             (lambda r: r.update(schema="other"), "schema is 'other'"),
             (lambda r: r.update(schema_version=99), "newer than"),
@@ -243,13 +245,13 @@ class TestHistogramsField:
         return hist.summary()
 
     def test_v3_record_round_trips(self, tmp_path):
-        rec = record(histograms={"serve.queue_wait": self.summary([0.01, 0.02])})
+        rec = record(histograms={"atpg.time": self.summary([0.01, 0.02])})
         assert rec["schema_version"] == LEDGER_SCHEMA_VERSION >= 3
         validate_record(rec)
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append(rec)
         (read_back,) = ledger.records("schedule")
-        assert read_back["histograms"]["serve.queue_wait"]["count"] == 2
+        assert read_back["histograms"]["atpg.time"]["count"] == 2
 
     def test_histograms_field_is_optional(self):
         rec = record()

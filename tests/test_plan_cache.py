@@ -8,6 +8,7 @@ test-mux lists) as runs with it off, on every registered system.
 import pytest
 
 from repro.designs import system_builders
+from repro.errors import UsageError
 from repro.exec import (
     CACHE_ENV,
     cache_enabled,
@@ -36,6 +37,22 @@ class TestCacheToggles:
     def test_env_disables(self, monkeypatch, value):
         monkeypatch.setenv(CACHE_ENV, value)
         assert not cache_enabled()
+
+    def test_accepts_boolean_spellings(self, monkeypatch):
+        for raw, expected in [("1", True), ("TRUE", True), ("on", True),
+                              ("0", False), ("False", False), ("off", False),
+                              ("no", False), ("yes", True)]:
+            monkeypatch.setenv(CACHE_ENV, raw)
+            assert cache_enabled() is expected
+        monkeypatch.delenv(CACHE_ENV)
+        assert cache_enabled() is True
+
+    def test_rejects_garbage_with_offending_string(self, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, "fales")
+        with pytest.raises(UsageError) as err:
+            cache_enabled()
+        assert "fales" in str(err.value)
+        assert CACHE_ENV in str(err.value)
 
 
 class TestFingerprints:

@@ -363,142 +363,3 @@ def test_verdict_status_priorities():
     verdict = BenchVerdict(bench="b")
     assert verdict.status == "ok" and not verdict.failed
 
-
-# ----------------------------------------------------------------------
-# histogram-percentile SLO gate (ledger v3 'histograms')
-# ----------------------------------------------------------------------
-def hist_summary(values, name="h"):
-    from repro.obs.metrics import MetricsRegistry
-
-    hist = MetricsRegistry().histogram(name)
-    for value in values:
-        hist.observe(value)
-    return hist.summary()
-
-
-def serve_record(
-    scale=1.0,
-    count=20,
-    env=ENV,
-    kind="serve",
-    counters=None,
-    hist_name="serve.queue_wait",
-):
-    """A serve-session ledger record whose queue-wait tail scales with
-    ``scale`` (1.5 = the '+50% p99' injection of the acceptance test)."""
-    values = [0.010 * (i + 1) * scale for i in range(count)]
-    return make_record(
-        "serve-session",
-        [1.0],
-        counters=counters if counters is not None else {},
-        kind=kind,
-        env=env,
-        git_sha=None,
-        timestamp="2026-08-06T12:00:00Z",
-        histograms={hist_name: hist_summary(values)},
-    )
-
-
-class TestHistogramSloGate:
-    def test_unchanged_latency_passes(self):
-        baseline = [serve_record() for _ in range(3)]
-        verdict = compare_records(serve_record(), baseline)
-        assert verdict.hist and not verdict.slo_breaches
-        assert verdict.status == "ok" and not verdict.failed
-
-    def test_p99_breach_fails(self):
-        baseline = [serve_record() for _ in range(3)]
-        verdict = compare_records(serve_record(scale=1.6), baseline)
-        assert verdict.slo_breaches
-        breach = verdict.slo_breaches[0]
-        assert breach.name == "serve.queue_wait"
-        assert breach.percentile == "p99" and breach.ratio == pytest.approx(1.6)
-        assert "serve.queue_wait p99" in breach.describe()
-        assert verdict.failed and verdict.status == "slo"
-
-    def test_below_min_ratio_not_tripped(self):
-        baseline = [serve_record() for _ in range(3)]
-        verdict = compare_records(serve_record(scale=1.3), baseline)
-        assert verdict.hist and not verdict.hist[0].tripped
-        assert not verdict.failed
-
-    def test_min_count_guard_never_trips(self):
-        # a p99 of three samples is the max of three samples: reported,
-        # never gated
-        baseline = [serve_record() for _ in range(3)]
-        verdict = compare_records(serve_record(scale=3.0, count=3), baseline)
-        assert verdict.hist and not verdict.hist[0].tripped
-        assert "gate not applied" in verdict.hist[0].note
-        assert not verdict.failed
-
-    def test_env_mismatch_downgrades_to_advisory(self):
-        baseline = [serve_record(env=OTHER_ENV) for _ in range(3)]
-        verdict = compare_records(serve_record(scale=2.0), baseline)
-        assert verdict.hist[0].tripped and verdict.hist[0].advisory
-        assert not verdict.slo_breaches and not verdict.failed
-        assert verdict.status == "advisory"
-
-    def test_non_serve_histograms_not_gated(self):
-        baseline = [serve_record(hist_name="profile.total.time") for _ in range(3)]
-        verdict = compare_records(
-            serve_record(scale=5.0, hist_name="profile.total.time"), baseline
-        )
-        assert verdict.hist == [] and not verdict.failed
-
-    def test_hist_gate_off(self):
-        baseline = [serve_record() for _ in range(3)]
-        verdict = compare_records(
-            serve_record(scale=5.0), baseline, GatePolicy(hist_gate=False)
-        )
-        assert verdict.hist == [] and not verdict.failed
-
-    def test_policy_validates_percentile(self):
-        with pytest.raises(RegressionError):
-            GatePolicy(hist_percentile="p95")
-        assert GatePolicy(hist_percentile="p90").hist_percentile == "p90"
-
-    def test_serve_kind_skips_exact_counter_gate(self):
-        # a serve session's counters sum arbitrary client load; there is
-        # no seed-determined expectation to compare exactly
-        baseline = [serve_record(counters={"a": 1}) for _ in range(3)]
-        verdict = compare_records(serve_record(counters={"a": 99}), baseline)
-        assert not verdict.drifts
-        bench_kind = compare_records(
-            serve_record(counters={"a": 99}, kind="bench"),
-            [serve_record(counters={"a": 1}, kind="bench") for _ in range(3)],
-        )
-        assert bench_kind.drifts
-
-    def test_to_dict_carries_histogram_verdicts(self):
-        baseline = [serve_record() for _ in range(3)]
-        verdict = compare_records(serve_record(scale=1.6), baseline)
-        payload = json.loads(json.dumps(verdict.to_dict()))
-        assert payload["histograms"][0]["tripped"] is True
-        assert payload["status"] == "slo"
-
-    def test_injected_regression_end_to_end(self, tmp_path):
-        """Acceptance: a seeded +50% p99 queue-wait injection fails
-        ``repro regress`` against the committed baseline."""
-        from repro.cli import main
-
-        baseline_path = tmp_path / "baseline.jsonl"
-        candidate_path = tmp_path / "candidate.jsonl"
-        baseline = RunLedger(baseline_path)
-        for _ in range(3):
-            baseline.append(serve_record())
-        RunLedger(candidate_path).append(serve_record(scale=1.5))
-        report = compare_ledgers(
-            RunLedger(candidate_path), RunLedger(baseline_path)
-        )
-        assert report.exit_code() == 1
-        assert report.verdicts[0].status == "slo"
-        assert "serve.queue_wait" in report.render()
-        assert main([
-            "regress", "--ledger", str(candidate_path),
-            "--baseline", str(baseline_path),
-        ]) == 1
-        # and the flag that turns the gate off restores exit 0
-        assert main([
-            "regress", "--ledger", str(candidate_path),
-            "--baseline", str(baseline_path), "--no-hist-gate",
-        ]) == 0
