@@ -11,7 +11,7 @@ time, exactly as Section 5.2 predicts.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.baselines import evaluate_test_bus
 from repro.obs import METRICS
@@ -29,21 +29,20 @@ def run_objectives(soc):
     return base, plan_i, trajectory_i, plan_ii, trajectory_ii
 
 
-def test_ablation_objectives(benchmark, system1, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    base, plan_i, trajectory_i, plan_ii, trajectory_ii = benchmark.pedantic(
-        run_objectives, args=(system1,), rounds=1, iterations=1
+def test_ablation_objectives(system1, results_dir):
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    (base, plan_i, trajectory_i, plan_ii, trajectory_ii), samples = measure(
+        run_objectives, system1
     )
     write_bench_json(
         results_dir,
         "ablation_objectives",
-        benchmark,
+        samples,
         {
             "base_tat": base.total_tat,
             "min_tat": {"tat": plan_i.total_tat, "steps": len(trajectory_i)},
             "min_area": {"cells": plan_ii.chip_dft_cells, "steps": len(trajectory_ii)},
         },
-        rounds=1,
     )
 
     rows = []
@@ -72,28 +71,27 @@ def test_ablation_objectives(benchmark, system1, results_dir):
     assert plan_i.total_tat >= bus.total_tat
 
 
-def test_ablation_escalation_degenerates_to_test_bus(benchmark, system2, results_dir):
+def test_ablation_escalation_degenerates_to_test_bus(system2, results_dir):
     """With an unbounded budget, escalation approaches the test-bus floor."""
 
     def run(soc):
         optimizer = SocetOptimizer(soc)
         return optimizer.minimize_tat(10**9)
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    plan, trajectory = benchmark.pedantic(run, args=(system2,), rounds=1, iterations=1)
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    (plan, trajectory), samples = measure(run, system2)
     bus = evaluate_test_bus(system2)
     base = plan_soc_test(system2)
     write_bench_json(
         results_dir,
         "ablation_escalation",
-        benchmark,
+        samples,
         {
             "final_tat": plan.total_tat,
             "bus_floor_tat": bus.total_tat,
             "test_muxes": len(plan.test_muxes),
             "steps": len(trajectory),
         },
-        rounds=1,
     )
 
     # large budget drives TAT toward (but never below) the test-bus floor

@@ -15,7 +15,7 @@ an 18% underestimate that would produce corrupted test data on silicon.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.obs import METRICS
 from repro.util import render_table
@@ -38,20 +38,17 @@ def latency_models(soc):
     return rows
 
 
-def test_ablation_shared_resource_rule(benchmark, system1_paper_vectors, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    rows = benchmark.pedantic(
-        latency_models, args=(system1_paper_vectors,), rounds=3, iterations=1
-    )
+def test_ablation_shared_resource_rule(system1_paper_vectors, results_dir):
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    rows, samples = measure(latency_models, system1_paper_vectors, rounds=3)
     write_bench_json(
         results_dir,
         "ablation_reservations",
-        benchmark,
+        samples,
         {
             name: {"reserved": combined, "naive": naive, "tat": correct}
             for name, combined, naive, correct, _naive_tat in rows
         },
-        rounds=3,
     )
 
     table = [

@@ -8,7 +8,8 @@ gates) with a regress-style trip condition -- deep-mode timings are
 only a regression when the median ratio exceeds 1.02x *and* a one-sided
 Mann-Whitney test on the raw samples is significant -- so timing noise
 on an unchanged pipeline cannot trip it, but a hook that grew real work
-on the off path will.
+on the off path will.  The two arms are timed round by round, and the
+arm that goes first alternates, so host drift lands on both alike.
 
 The second half pins the artifact itself: ``repro explain`` on System1
 must produce a byte-identical artifact when re-run at the same seed,
@@ -19,10 +20,9 @@ the difficulty ranking's trajectory is diffable across PRs.
 from __future__ import annotations
 
 import statistics
-import time
 
 from bench_schedule import schedule_all
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.flow.explain import explain_system
 from repro.flow.profile import QUICK_MAX_FAULTS
@@ -41,15 +41,18 @@ ALPHA = 0.05
 SEEDS = (0, 1, 2)
 
 
-def _timed_arm(mode, systems):
-    """ROUNDS wall-time samples of the schedule workload under ``mode``."""
-    ATTRIB.configure(mode)
-    samples = []
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        schedule_all(systems)
-        samples.append(time.perf_counter() - start)
-    return samples
+def _timed_arms(systems):
+    """ROUNDS wall-time samples of the schedule workload per mode.
+
+    Each round times both arms back to back; even rounds run ``off``
+    first, odd rounds ``deep`` first.
+    """
+    samples = {"off": [], "deep": []}
+    for index in range(ROUNDS):
+        for mode in ("off", "deep") if index % 2 == 0 else ("deep", "off"):
+            ATTRIB.configure(mode)
+            samples[mode].extend(measure(schedule_all, systems)[1])
+    return samples["off"], samples["deep"]
 
 
 def _hard_fault_tables():
@@ -73,18 +76,15 @@ def _hard_fault_tables():
     return tables
 
 
-def test_explain_overhead_and_stability(benchmark, all_systems, results_dir):
+def test_explain_overhead_and_stability(all_systems, results_dir):
     # stability first: explain_system resets the registry, so it must not
     # run between METRICS.reset() and write_bench_json below
     hard_faults = _hard_fault_tables()
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
     schedule_all(all_systems)  # warm the plan caches for both arms equally
     try:
-        off = benchmark.pedantic(
-            _timed_arm, args=("off", all_systems), rounds=1, iterations=1
-        )
-        deep = _timed_arm("deep", all_systems)
+        off, deep = _timed_arms(all_systems)
     finally:
         ATTRIB.configure("off")
         ATTRIB.reset()
@@ -103,7 +103,7 @@ def test_explain_overhead_and_stability(benchmark, all_systems, results_dir):
         "tripped": tripped,
     }
     write_bench_json(
-        results_dir, "explain", benchmark,
+        results_dir, "explain", off,
         {"hard_faults": hard_faults, "overhead": overhead},
     )
 

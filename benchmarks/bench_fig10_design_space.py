@@ -15,7 +15,7 @@ the same qualitative shape:
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.obs import METRICS
 from repro.soc import design_space
@@ -28,20 +28,19 @@ def sweep(soc):
     return design_space(soc)
 
 
-def test_fig10_design_space(benchmark, system1, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    points = benchmark.pedantic(sweep, args=(system1,), rounds=ROUNDS, iterations=1)
+def test_fig10_design_space(system1, results_dir):
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    points, samples = measure(sweep, system1, rounds=ROUNDS)
     write_bench_json(
         results_dir,
         "fig10_design_space",
-        benchmark,
+        samples,
         {
             "points": len(points),
             "min_tat": min(p.tat for p in points),
             "max_tat": max(p.tat for p in points),
             "min_area_cells": points[0].chip_cells,
         },
-        rounds=ROUNDS,
     )
 
     rows = [[p.index, p.chip_cells, p.tat, p.label()] for p in points]

@@ -13,7 +13,7 @@ latencies (the overhead cells follow our own cost model).
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.designs import build_cpu
 from repro.dft import insert_hscan
@@ -32,15 +32,15 @@ def generate_cpu_versions():
     return generate_versions(circuit, insert_hscan(circuit))
 
 
-def test_fig6_cpu_version_tradeoff(benchmark, results_dir):
+def test_fig6_cpu_version_tradeoff(results_dir):
     from repro.obs import METRICS
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    versions = benchmark.pedantic(generate_cpu_versions, rounds=3, iterations=1)
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    versions, samples = measure(generate_cpu_versions, rounds=3)
     write_bench_json(
         results_dir,
         "fig6_cpu_versions",
-        benchmark,
+        samples,
         {
             version.name: {
                 "total_latency": version.justify_latency("Address"),
@@ -48,7 +48,6 @@ def test_fig6_cpu_version_tradeoff(benchmark, results_dir):
             }
             for version in versions
         },
-        rounds=3,
     )
 
     rows = []

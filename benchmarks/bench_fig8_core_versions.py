@@ -14,7 +14,7 @@ direct address-display path), so the propagate ladder diverges after V1
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.designs import build_display, build_preprocessor
 from repro.dft import insert_hscan
@@ -37,20 +37,19 @@ def _address_latency(version) -> int:
     return max(p.latency for k, p in version.justify_paths.items() if k[0] == "Address")
 
 
-def test_fig8_core_version_tradeoffs(benchmark, results_dir):
+def test_fig8_core_version_tradeoffs(results_dir):
     from repro.obs import METRICS
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    results = benchmark.pedantic(generate_both, rounds=3, iterations=1)
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    results, samples = measure(generate_both, rounds=3)
     write_bench_json(
         results_dir,
         "fig8_core_versions",
-        benchmark,
+        samples,
         {
             core: [version.extra_cells for version in versions]
             for core, versions in results.items()
         },
-        rounds=3,
     )
 
     rows = []

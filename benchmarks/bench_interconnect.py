@@ -8,7 +8,7 @@ that claim on both systems.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.flow import bus_interconnect_report, interconnect_report
 from repro.obs import METRICS
@@ -26,13 +26,13 @@ def reports(system1, system2):
     return rows
 
 
-def test_interconnect_coverage(benchmark, system1, system2, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    data = benchmark.pedantic(reports, args=(system1, system2), rounds=3, iterations=1)
+def test_interconnect_coverage(system1, system2, results_dir):
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    data, samples = measure(reports, system1, system2, rounds=3)
     write_bench_json(
         results_dir,
         "interconnect",
-        benchmark,
+        samples,
         {
             name: {
                 "socet_coverage_percent": socet.coverage_percent,
@@ -41,7 +41,6 @@ def test_interconnect_coverage(benchmark, system1, system2, results_dir):
             }
             for name, socet, bus in data
         },
-        rounds=3,
     )
 
     rows = []

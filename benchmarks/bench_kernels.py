@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import os
 import random
-import time
 
-from conftest import SEED, write_bench_json, write_result
+from conftest import SEED, measure, write_bench_json, write_result
 
 from repro.elaborate import elaborate
 from repro.faults import FaultSimulator, collapse_faults, full_fault_universe
@@ -33,7 +32,6 @@ from repro.gates import GateKind
 from repro.obs import METRICS
 from repro.util import render_table
 
-ROUNDS = 1
 #: sequential whole-chip grading floor, asserted when cpus >= 4 (a
 #: physical-runner gate)
 KERNEL_SPEEDUP_FLOOR = 5.0
@@ -44,23 +42,22 @@ CORE_PATTERNS = 512
 
 
 def _timed(fn, repeat):
-    """Best-of-``repeat`` wall time with cold cone caches each run."""
-    best = None
-    result = None
-    for _ in range(repeat):
+    """Best-of-``repeat`` wall time with cold cone caches each run, the
+    last run's result and its ``faultsim.*`` counter deltas."""
+
+    def cold():
         clear_cone_caches()
-        start = time.perf_counter()
-        counters_before = dict(METRICS.counters("faultsim."))
-        result = fn()
-        elapsed = time.perf_counter() - start
-        counters_after = METRICS.counters("faultsim.")
-        best = elapsed if best is None else min(best, elapsed)
+        before = dict(METRICS.counters("faultsim."))
+        return fn(), before
+
+    (result, counters_before), samples = measure(cold, rounds=repeat)
+    counters_after = METRICS.counters("faultsim.")
     delta = {
         key: counters_after[key] - counters_before.get(key, 0)
         for key in counters_after
         if counters_after[key] != counters_before.get(key, 0)
     }
-    return best, result, delta
+    return min(samples), result, delta
 
 
 def _assert_identical(workload, scalar, vector):
@@ -135,11 +132,9 @@ def run_matrix(soc):
     return _sequential_workload(soc), _core_workloads(soc)
 
 
-def test_kernel_speedups(benchmark, results_dir, system1):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    sequential, cores = benchmark.pedantic(
-        run_matrix, args=(system1,), rounds=ROUNDS, iterations=1
-    )
+def test_kernel_speedups(results_dir, system1):
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    (sequential, cores), samples = measure(run_matrix, system1)
 
     cpus = os.cpu_count() or 1
     # kernel speedup is arithmetic density, but a starved shared runner
@@ -156,7 +151,7 @@ def test_kernel_speedups(benchmark, results_dir, system1):
         "sequential": sequential,
         "cores": cores,
     }
-    write_bench_json(results_dir, "kernels", benchmark, payload, rounds=ROUNDS)
+    write_bench_json(results_dir, "kernels", samples, payload)
 
     rows = [
         [

@@ -8,7 +8,7 @@ reports the 4KB cores' BIST cycle counts.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.bist import MARCH_C_MINUS, MARCH_X, MARCH_Y, plan_memory_bist
 from repro.bist.march import grade_march
@@ -29,20 +29,19 @@ def grade_all():
     return results
 
 
-def test_march_bist_grading(benchmark, system1, results_dir):
+def test_march_bist_grading(system1, results_dir):
     from repro.obs import METRICS
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    results = benchmark.pedantic(grade_all, rounds=1, iterations=1)
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    results, samples = measure(grade_all)
     write_bench_json(
         results_dir,
         "march_bist",
-        benchmark,
+        samples,
         {
             name: {"stuck_detected": s_det, "coupling_detected": c_det}
             for name, (s_det, _s_total, c_det, _c_total) in results.items()
         },
-        rounds=1,
     )
 
     rows = []

@@ -11,7 +11,7 @@ makespan drops.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.obs import METRICS
 from repro.schedule import build_test_items, conflict_pairs
@@ -47,14 +47,10 @@ def _result_payload(results):
     }
 
 
-def test_schedule_makespan(benchmark, all_systems, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    results = benchmark.pedantic(
-        schedule_all, args=(all_systems,), rounds=ROUNDS, iterations=1
-    )
-    write_bench_json(
-        results_dir, "schedule", benchmark, _result_payload(results), rounds=ROUNDS
-    )
+def test_schedule_makespan(all_systems, results_dir):
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    results, samples = measure(schedule_all, all_systems, rounds=ROUNDS)
+    write_bench_json(results_dir, "schedule", samples, _result_payload(results))
 
     # determinism regression: the builders are seed-pinned, so a second
     # pass must reproduce every makespan bit-for-bit

@@ -14,7 +14,7 @@ Every one of those numbers must come out of the generic planner.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.dft.tat import fscan_bscan_core_tat
 from repro.soc import plan_soc_test
@@ -32,7 +32,7 @@ def plan_display_tests(soc):
     return plans
 
 
-def test_sec3_display_worked_example(benchmark, system1_paper_vectors, results_dir):
+def test_sec3_display_worked_example(system1_paper_vectors, results_dir):
     soc = system1_paper_vectors
     display = soc.cores["DISPLAY"]
     assert display.test_vectors == 105
@@ -40,14 +40,13 @@ def test_sec3_display_worked_example(benchmark, system1_paper_vectors, results_d
 
     from repro.obs import METRICS
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    plans = benchmark.pedantic(plan_display_tests, args=(soc,), rounds=3, iterations=1)
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    plans, samples = measure(plan_display_tests, soc, rounds=3)
     write_bench_json(
         results_dir,
         "sec3_display_example",
-        benchmark,
+        samples,
         {f"cpu_v{cpu_version + 1}_tat": plan.tat for (cpu_version, _), plan in zip(CASES, plans)},
-        rounds=3,
     )
 
     rows = []

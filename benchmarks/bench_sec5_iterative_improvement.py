@@ -16,7 +16,7 @@ latency number by 3 uses x (5-1) = 12 exactly.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.obs import METRICS
 from repro.soc import plan_soc_test
@@ -34,20 +34,17 @@ def improvement_numbers(soc):
     return plan, gains
 
 
-def test_sec5_latency_number_example(benchmark, system1, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    plan, gains = benchmark.pedantic(
-        improvement_numbers, args=(system1,), rounds=3, iterations=1
-    )
+def test_sec5_latency_number_example(system1, results_dir):
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    (plan, gains), samples = measure(improvement_numbers, system1, rounds=3)
     write_bench_json(
         results_dir,
         "sec5_iterative_improvement",
-        benchmark,
+        samples,
         {
             core: list(gain) if gain is not None else None
             for core, gain in sorted(gains.items())
         },
-        rounds=3,
     )
 
     usage = plan.usage_counts()

@@ -17,7 +17,7 @@ simulation of the ATPG patterns (see bench_table3).
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.obs import METRICS
 from repro.soc import design_space, plan_soc_test
@@ -39,15 +39,15 @@ def characteristic_points(soc):
     return min_area, all_fast_plan, min_tat
 
 
-def test_table1_design_points(benchmark, system1, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    min_area, all_fast_plan, min_tat = benchmark.pedantic(
-        characteristic_points, args=(system1,), rounds=3, iterations=1
+def test_table1_design_points(system1, results_dir):
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    (min_area, all_fast_plan, min_tat), samples = measure(
+        characteristic_points, system1, rounds=3
     )
     write_bench_json(
         results_dir,
         "table1_design_points",
-        benchmark,
+        samples,
         {
             "min_area": {"cells": min_area.chip_cells, "tat": min_area.tat},
             "min_latency": {
@@ -56,7 +56,6 @@ def test_table1_design_points(benchmark, system1, results_dir):
             },
             "min_tat": {"cells": min_tat.chip_cells, "tat": min_tat.tat},
         },
-        rounds=3,
     )
 
     rows = [

@@ -19,7 +19,7 @@ core sizes; the *relations* the table demonstrates must hold here:
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.flow import render_area_table, run_socet
 from repro.obs import METRICS
@@ -29,13 +29,13 @@ def both_runs(system1, system2):
     return run_socet(system1), run_socet(system2)
 
 
-def test_table2_area_overheads(benchmark, system1, system2, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    run1, run2 = benchmark.pedantic(both_runs, args=(system1, system2), rounds=1, iterations=1)
+def test_table2_area_overheads(system1, system2, results_dir):
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    (run1, run2), samples = measure(both_runs, system1, system2)
     write_bench_json(
         results_dir,
         "table2_area_overheads",
-        benchmark,
+        samples,
         {
             row.system: {
                 "fscan_percent": row.fscan_percent,
@@ -44,7 +44,6 @@ def test_table2_area_overheads(benchmark, system1, system2, results_dir):
             }
             for row in (run1.area_rows()[0], run2.area_rows()[0])
         },
-        rounds=1,
     )
 
     rows = run1.area_rows() + run2.area_rows()

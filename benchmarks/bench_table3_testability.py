@@ -24,7 +24,7 @@ per-core ATPG + fault simulation), so it runs one round.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import measure, write_bench_json, write_result
 
 from repro.flow import evaluate_system, render_testability_table
 from repro.obs import METRICS
@@ -35,15 +35,13 @@ def evaluate_both(system1, system2):
     return evaluate_system(system1, **kwargs), evaluate_system(system2, **kwargs)
 
 
-def test_table3_testability(benchmark, system1, system2, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    ev1, ev2 = benchmark.pedantic(
-        evaluate_both, args=(system1, system2), rounds=1, iterations=1
-    )
+def test_table3_testability(system1, system2, results_dir):
+    METRICS.reset()  # the ledger record carries exactly the measured runs' counters
+    (ev1, ev2), samples = measure(evaluate_both, system1, system2)
     write_bench_json(
         results_dir,
         "table3_testability",
-        benchmark,
+        samples,
         {
             evaluation.rows[0].system: {
                 row.configuration: {"fc": row.fault_coverage, "tat": row.tat}
@@ -51,7 +49,6 @@ def test_table3_testability(benchmark, system1, system2, results_dir):
             }
             for evaluation in (ev1, ev2)
         },
-        rounds=1,
     )
 
     rows = ev1.rows + ev2.rows

@@ -2,10 +2,10 @@
 
 System builds (which include per-core HSCAN insertion and transparency
 version synthesis) are cached per session; each bench writes the table
-it reproduces to ``benchmarks/results/<bench>.txt`` so the numbers are
-inspectable alongside the timing output, plus a machine-readable
-``BENCH_<bench>.json`` (see :mod:`repro.obs.benchjson`) so the
-performance trajectory is diffable across PRs.
+it reproduces to ``benchmarks/results/<bench>.txt``, its results as
+``BENCH_<bench>.json``, and its timing and counters as one record in
+the run ledger ``benchmarks/results/ledger.jsonl``.  Timing comes from
+:func:`measure` alone.
 
 Every randomized stage in the benches is pinned to :data:`SEED` -- the
 system builders take it as ``atpg_seed``, so two runs of the same bench
@@ -14,8 +14,10 @@ produce identical plans, schedules, and counters (only wall time moves).
 
 from __future__ import annotations
 
+import json
+import time
 from pathlib import Path
-from typing import List
+from typing import Callable, List, Sequence, Tuple
 
 import pytest
 
@@ -147,45 +149,46 @@ def write_result(results_dir: Path, name: str, text: str) -> None:
     print(f"\n{text}\n[written to {path}]")
 
 
+def measure(fn: Callable, *args, rounds: int = 1) -> Tuple[object, List[float]]:
+    """Call ``fn(*args)`` ``rounds`` times; the last result and the
+    per-round wall times in seconds (``time.perf_counter``)."""
+    result = None
+    samples = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        result = fn(*args)
+        samples.append(time.perf_counter() - start)
+    return result, samples
+
+
 #: every bench appends its run record here (next to the BENCH json)
 LEDGER_NAME = "ledger.jsonl"
 
 
 def write_bench_json(
-    results_dir: Path, name: str, benchmark, results, rounds: int = 1
+    results_dir: Path, name: str, samples: Sequence[float], results
 ) -> Path:
     """Write ``BENCH_<name>.json`` and append a run-ledger record.
 
-    ``results`` is the bench-specific free-form payload; the raw
-    per-round wall times come from the pytest-benchmark fixture and the
-    counters straight from the shared metrics registry (callers reset
-    it before the measured run).  The same samples/counters go to the
-    append-only ``ledger.jsonl`` so ``repro regress`` can compare this
-    run against the bench's history.
+    The BENCH file holds the bench's ``results`` alone (sorted keys), so
+    a deterministic bench rewrites it byte for byte.  The ledger record
+    carries the raw per-round ``samples``, every counter of the shared
+    metrics registry (callers reset it before the measured run) and its
+    histograms, so ``repro regress`` can compare this run against the
+    bench's history.
     """
     from repro.obs import METRICS
-    from repro.obs.benchjson import bench_payload, write_bench
     from repro.obs.ledger import RunLedger, make_record
 
-    samples = [float(value) for value in benchmark.stats.stats.data]
-    histograms = METRICS.histograms()
-    payload = bench_payload(
-        bench=name,
-        wall_time_s=benchmark.stats.stats.mean,
-        results=results,
-        rounds=rounds,
-        registry=METRICS,
-        samples=samples,
-        histograms=histograms or None,
-    )
     path = results_dir / f"BENCH_{name}.json"
-    write_bench(str(path), payload)
+    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    histograms = METRICS.histograms()
     ledger = RunLedger(results_dir / LEDGER_NAME)
     ledger.append(
         make_record(
             bench=name,
             samples=samples,
-            counters=payload["counters"],
+            registry=METRICS,
             kind="bench",
             histograms=histograms or None,
         )

@@ -373,7 +373,7 @@ def cmd_profile(args) -> int:
 def cmd_regress(args) -> int:
     from repro.errors import RegressionError
     from repro.obs.ledger import RunLedger
-    from repro.obs.regress import GatePolicy, compare_ledgers
+    from repro.obs.regress import compare_ledgers
 
     candidate = RunLedger(args.ledger)
     if not candidate.exists():
@@ -383,21 +383,8 @@ def cmd_regress(args) -> int:
         baseline = RunLedger(args.baseline)
         if not baseline.exists():
             raise UsageError(f"baseline ledger {args.baseline!r} does not exist")
-    # empty prefixes would match every counter; drop them defensively
-    ignore = tuple(p for p in (args.ignore_counter or ()) if p)
-    policy = GatePolicy(
-        window=args.window,
-        min_ratio=args.min_ratio,
-        alpha=args.alpha,
-        small_sample_ratio=args.small_sample_ratio,
-        counter_ignore=ignore if args.ignore_counter else GatePolicy.counter_ignore,
-        wall_gate=args.wall_gate,
-        counter_gate=not args.no_counter_gate,
-    )
     try:
-        report = compare_ledgers(
-            candidate, baseline, benches=args.bench or None, policy=policy
-        )
+        report = compare_ledgers(candidate, baseline, benches=args.bench or None)
     except RegressionError as error:
         raise UsageError(str(error))
     print(report.to_json() if args.json else report.render())
@@ -702,38 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", metavar="FILE",
         help="baseline ledger (e.g. the committed one); without it the "
              "candidate ledger's own earlier records form the window",
-    )
-    p_regress.add_argument(
-        "--window", type=int, default=5, metavar="N",
-        help="baseline records pooled per series (default %(default)s)",
-    )
-    p_regress.add_argument(
-        "--min-ratio", type=float, default=1.25, metavar="X",
-        help="median slowdown ratio below which the wall gate never trips "
-             "(default %(default)s)",
-    )
-    p_regress.add_argument(
-        "--alpha", type=float, default=0.05, metavar="A",
-        help="one-sided significance level of the rank test (default %(default)s)",
-    )
-    p_regress.add_argument(
-        "--small-sample-ratio", type=float, default=2.0, metavar="X",
-        help="pure-threshold fallback when significance is unreachable "
-             "(default %(default)s)",
-    )
-    p_regress.add_argument(
-        "--ignore-counter", action="append", metavar="PREFIX",
-        help="counter prefix excluded from the exact gate (repeatable; "
-             "default: exec., attrib., explain.)",
-    )
-    p_regress.add_argument(
-        "--wall-gate", default="auto", choices=["auto", "always", "off"],
-        help="auto (default) downgrades the wall gate to advisory when the "
-             "environment fingerprints differ",
-    )
-    p_regress.add_argument(
-        "--no-counter-gate", action="store_true",
-        help="disable the exact counter comparison",
     )
     p_regress.add_argument(
         "--json", action="store_true",

@@ -79,11 +79,11 @@ class LintError(ReproError):
 
 
 class ObservabilityError(ReproError):
-    """A problem in the tracing/metrics/bench-format layer."""
+    """A problem in the tracing/metrics/ledger layer."""
 
 
-class BenchSchemaError(ObservabilityError):
-    """A BENCH_*.json or trace artifact violates the expected schema."""
+class TraceSchemaError(ObservabilityError):
+    """An exported Chrome trace violates the ``trace_event`` shape."""
 
 
 class LedgerSchemaError(ObservabilityError):

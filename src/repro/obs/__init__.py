@@ -58,7 +58,6 @@ from repro.obs.profiler import (
     stage_rows,
 )
 from repro.obs.regress import (
-    GatePolicy,
     RegressionReport,
     compare_ledgers,
     compare_records,
@@ -102,7 +101,6 @@ __all__ = [
     "make_record",
     "environment_fingerprint",
     "pooled_samples",
-    "GatePolicy",
     "RegressionReport",
     "compare_ledgers",
     "compare_records",

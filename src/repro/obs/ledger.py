@@ -2,9 +2,9 @@
 
 Every measured run -- a benchmark round set or a ``repro profile``
 execution -- appends one JSON object (one line) to a ledger file, so
-the performance trajectory is a queryable series instead of a single
-overwritten ``BENCH_*.json`` point.  Records are self-describing and
-versioned::
+the performance trajectory is a queryable series.  The ledger is the
+only home of bench timing and counters (``BENCH_*.json`` files hold a
+bench's results alone).  Records are self-describing and versioned::
 
     {
       "schema": "repro-ledger",
@@ -30,6 +30,9 @@ Appends are atomic: each record is serialized to one line and written
 with a single ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
 writers (parallel bench shards, CI matrix jobs sharing a volume)
 interleave whole records, never partial lines.
+
+Run ``python -m repro.obs.ledger FILE...`` to check ledger files (exit
+0 valid, 1 on any bad or unreadable file, 2 without arguments).
 """
 
 from __future__ import annotations
@@ -379,3 +382,25 @@ def pooled_samples(records: Iterable[Dict]) -> List[float]:
     for record in records:
         samples.extend(float(value) for value in record["samples"])
     return samples
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI: validate JSONL run ledgers; exit 1 on any failure."""
+    paths = list(sys.argv[1:] if argv is None else argv)
+    if not paths:
+        print("usage: python -m repro.obs.ledger FILE [FILE...]", file=sys.stderr)
+        return 2
+    failures = 0
+    for path in paths:
+        try:
+            count = validate_ledger_file(path)
+        except (OSError, ValueError, LedgerSchemaError) as error:
+            failures += 1
+            print(f"FAIL {path}: {error}")
+        else:
+            print(f"ok   {path} ({count} records)")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":  # pragma: no cover
+    sys.exit(main())

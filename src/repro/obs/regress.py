@@ -9,11 +9,12 @@ independent gates:
   candidate's raw per-round samples against the pooled baseline
   samples, cross-checked by a seeded-bootstrap confidence interval on
   the median ratio.  A regression needs *both* a practically large
-  ratio (``min_ratio``) and statistical significance (``alpha``), so
-  timing noise on an unchanged pipeline does not trip the gate.  When
-  the candidate has too few samples for significance to be reachable
-  (e.g. a single ``repro profile`` run), a stricter pure-threshold
-  fallback (``small_sample_ratio``) applies instead.
+  ratio (:data:`MIN_RATIO`) and statistical significance
+  (:data:`ALPHA`), so timing noise on an unchanged pipeline does not
+  trip the gate.  When the candidate has too few samples for
+  significance to be reachable (e.g. a single ``repro profile`` run), a
+  stricter pure-threshold fallback (:data:`SMALL_SAMPLE_RATIO`) applies
+  instead.
 * **Counter gate** -- deterministic counters (PODEM backtracks,
   reservation waits, plans evaluated, ...) are pure functions of the
   seed, so they are compared *exactly*: any added, removed, or changed
@@ -26,6 +27,9 @@ and baseline ran on different pythons/platforms/CPU counts the
 wall-time verdict is downgraded to *advisory* (reported, not failing)
 while the counter gate stays exact -- that is what makes a committed
 cross-machine baseline usable in CI.
+
+The thresholds are module constants: CI, the docs and the benches all
+gate with the one policy below.
 """
 
 from __future__ import annotations
@@ -45,8 +49,25 @@ _COMPARISONS = DEFAULT_REGISTRY.counter("regress.comparisons")
 _REGRESSIONS = DEFAULT_REGISTRY.counter("regress.wall.regressions")
 _DRIFTS = DEFAULT_REGISTRY.counter("regress.counter.drifts")
 
-#: wall-gate modes: apply always, only on matching environments, or never
-WALL_GATE_MODES = ("auto", "always", "off")
+#: baseline window: how many most-recent records to pool per series
+WINDOW = 5
+#: median ratio below which a slowdown is never flagged
+MIN_RATIO = 1.25
+#: one-sided significance level for the rank test
+ALPHA = 0.05
+#: minimum pooled baseline samples before the wall gate applies
+MIN_SAMPLES = 3
+#: pure-threshold fallback when significance is unreachable
+SMALL_SAMPLE_RATIO = 2.0
+#: counter prefixes excluded from the exact gate.  The ``exec.``
+#: counters track plan-cache warmth (hits and misses), which depends on
+#: what ran earlier in the process, not on the planned work.
+#: ``attrib.``/``explain.`` are the same execution-bookkeeping class:
+#: how many attribution records/explain runs happened depends on
+#: whether ``REPRO_ATTRIB`` was on, not on the planned work -- the
+#: attributed *totals* are gated through the counters they reconcile
+#: against (``atpg.*``, ``faultsim.*``).
+COUNTER_IGNORE = ("exec.", "attrib.", "explain.")
 
 
 # ----------------------------------------------------------------------
@@ -160,46 +181,8 @@ def bootstrap_ratio_ci(
 
 
 # ----------------------------------------------------------------------
-# policy and verdicts
+# verdicts
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GatePolicy:
-    """Thresholds for the wall-time and counter gates."""
-
-    #: baseline window: how many most-recent records to pool per series
-    window: int = 5
-    #: median ratio below which a slowdown is never flagged
-    min_ratio: float = 1.25
-    #: one-sided significance level for the rank test
-    alpha: float = 0.05
-    #: minimum pooled baseline samples before the wall gate applies
-    min_samples: int = 3
-    #: pure-threshold fallback when significance is unreachable
-    small_sample_ratio: float = 2.0
-    #: bootstrap resamples / confidence for the ratio CI
-    resamples: int = 1000
-    confidence: float = 0.95
-    #: counter prefixes excluded from the exact gate.  The ``exec.``
-    #: counters track plan-cache warmth (hits and misses), which depends
-    #: on what ran earlier in the process, not on the planned work.
-    #: ``attrib.``/``explain.`` are the same execution-bookkeeping
-    #: class: how many attribution records/explain runs happened depends
-    #: on whether ``REPRO_ATTRIB`` was on, not on the planned work --
-    #: the attributed *totals* are gated through the counters they
-    #: reconcile against (``atpg.*``, ``faultsim.*``).
-    counter_ignore: Tuple[str, ...] = ("exec.", "attrib.", "explain.")
-    #: "auto" (downgrade on env mismatch), "always", or "off"
-    wall_gate: str = "auto"
-    #: exact counter comparison on/off
-    counter_gate: bool = True
-
-    def __post_init__(self) -> None:
-        if self.wall_gate not in WALL_GATE_MODES:
-            raise RegressionError(
-                f"wall_gate must be one of {WALL_GATE_MODES}, got {self.wall_gate!r}"
-            )
-
-
 def env_compatible(a: Dict, b: Dict) -> bool:
     """Same python minor version, platform, and CPU count.
 
@@ -314,7 +297,6 @@ class BenchVerdict:
 def compare_wall(
     candidate: Sequence[float],
     baseline: Sequence[float],
-    policy: GatePolicy,
     advisory: bool = False,
 ) -> WallComparison:
     """Run the wall-time gate on raw samples (already pooled)."""
@@ -327,25 +309,18 @@ def compare_wall(
         ratio=ratio,
         advisory=advisory,
     )
-    if ratio < policy.min_ratio:
-        result.note = f"ratio {ratio:.3f} below min_ratio {policy.min_ratio}"
+    if ratio < MIN_RATIO:
+        result.note = f"ratio {ratio:.3f} below min_ratio {MIN_RATIO}"
         return result
-    if min_reachable_p(len(candidate), len(baseline)) > policy.alpha:
+    if min_reachable_p(len(candidate), len(baseline)) > ALPHA:
         # too few samples for the rank test to ever reach significance:
         # fall back to a stricter pure threshold
-        result.tripped = ratio >= policy.small_sample_ratio
-        result.note = (
-            f"small-sample fallback (threshold {policy.small_sample_ratio}x)"
-        )
+        result.tripped = ratio >= SMALL_SAMPLE_RATIO
+        result.note = f"small-sample fallback (threshold {SMALL_SAMPLE_RATIO}x)"
         return result
     result.p_value = mann_whitney_p(candidate, baseline)
-    result.ci_low, result.ci_high = bootstrap_ratio_ci(
-        candidate,
-        baseline,
-        resamples=policy.resamples,
-        confidence=policy.confidence,
-    )
-    result.tripped = result.p_value <= policy.alpha and result.ci_low > 1.0
+    result.ci_low, result.ci_high = bootstrap_ratio_ci(candidate, baseline)
+    result.tripped = result.p_value <= ALPHA and result.ci_low > 1.0
     result.note = (
         f"p={result.p_value:.4f}, "
         f"ratio CI [{result.ci_low:.3f}, {result.ci_high:.3f}]"
@@ -372,13 +347,8 @@ def compare_counters(
     return drifts
 
 
-def compare_records(
-    candidate: Dict,
-    baseline_records: Sequence[Dict],
-    policy: Optional[GatePolicy] = None,
-) -> BenchVerdict:
+def compare_records(candidate: Dict, baseline_records: Sequence[Dict]) -> BenchVerdict:
     """Every gate for one candidate record against its baseline window."""
-    policy = policy or GatePolicy()
     verdict = BenchVerdict(
         bench=candidate["bench"],
         candidate_samples=len(candidate["samples"]),
@@ -393,40 +363,36 @@ def compare_records(
     verdict.baseline_samples = len(baseline)
 
     # counter gate: exact match against the newest baseline record
-    if policy.counter_gate:
-        verdict.drifts = compare_counters(
-            candidate["counters"],
-            baseline_records[-1]["counters"],
-            ignore=policy.counter_ignore,
-        )
-        if verdict.drifts:
-            _DRIFTS.inc(len(verdict.drifts))
+    verdict.drifts = compare_counters(
+        candidate["counters"],
+        baseline_records[-1]["counters"],
+        ignore=COUNTER_IGNORE,
+    )
+    if verdict.drifts:
+        _DRIFTS.inc(len(verdict.drifts))
 
-    # wall gate
-    if policy.wall_gate != "off":
-        advisory = policy.wall_gate == "auto" and any(
-            not env_compatible(candidate["env"], record["env"])
-            for record in baseline_records
+    # wall gate: advisory only when an environment fingerprint differs
+    advisory = any(
+        not env_compatible(candidate["env"], record["env"])
+        for record in baseline_records
+    )
+    if len(baseline) < MIN_SAMPLES:
+        verdict.wall = WallComparison(
+            candidate_median=median(candidate["samples"]),
+            baseline_median=median(baseline),
+            ratio=median(candidate["samples"]) / max(median(baseline), 1e-12),
+            advisory=advisory,
+            note=(
+                f"baseline has {len(baseline)} samples "
+                f"(< min_samples {MIN_SAMPLES}); gate not applied"
+            ),
         )
-        if len(baseline) < policy.min_samples:
-            verdict.wall = WallComparison(
-                candidate_median=median(candidate["samples"]),
-                baseline_median=median(baseline),
-                ratio=median(candidate["samples"]) / max(median(baseline), 1e-12),
-                advisory=advisory,
-                note=(
-                    f"baseline has {len(baseline)} samples "
-                    f"(< min_samples {policy.min_samples}); gate not applied"
-                ),
-            )
-        else:
-            verdict.wall = compare_wall(
-                candidate["samples"], baseline, policy, advisory=advisory
-            )
-            if advisory and verdict.wall.tripped:
-                verdict.wall.note += "; environment mismatch: advisory only"
-        if verdict.wall.tripped and not verdict.wall.advisory:
-            _REGRESSIONS.inc()
+    else:
+        verdict.wall = compare_wall(candidate["samples"], baseline, advisory=advisory)
+        if advisory and verdict.wall.tripped:
+            verdict.wall.note += "; environment mismatch: advisory only"
+    if verdict.wall.tripped and not verdict.wall.advisory:
+        _REGRESSIONS.inc()
     return verdict
 
 
@@ -479,7 +445,7 @@ class RegressionReport:
                              verdict.skipped])
                 continue
             wall = verdict.wall
-            detail = wall.note if wall else "wall gate off"
+            detail = wall.note
             if verdict.drifts:
                 shown = ", ".join(d.describe() for d in verdict.drifts[:3])
                 more = len(verdict.drifts) - 3
@@ -488,9 +454,9 @@ class RegressionReport:
                 [
                     verdict.bench,
                     verdict.status,
-                    f"{wall.ratio:.3f}x" if wall else "-",
-                    f"{wall.candidate_median * 1000:.2f}ms" if wall else "-",
-                    f"{wall.baseline_median * 1000:.2f}ms" if wall else "-",
+                    f"{wall.ratio:.3f}x",
+                    f"{wall.candidate_median * 1000:.2f}ms",
+                    f"{wall.baseline_median * 1000:.2f}ms",
                     detail,
                 ]
             )
@@ -512,7 +478,6 @@ def compare_ledgers(
     candidate: RunLedger,
     baseline: Optional[RunLedger] = None,
     benches: Optional[Sequence[str]] = None,
-    policy: Optional[GatePolicy] = None,
 ) -> RegressionReport:
     """Gate every series in ``candidate`` against ``baseline``.
 
@@ -520,7 +485,6 @@ def compare_ledgers(
     separate baseline ledger, the same ledger's *earlier* records form
     the window -- the self-history mode the bench harness uses locally.
     """
-    policy = policy or GatePolicy()
     report = RegressionReport(
         candidate_path=candidate.path,
         baseline_path=baseline.path if baseline is not None else None,
@@ -536,8 +500,8 @@ def compare_ledgers(
         records = candidate.records(bench)
         latest = records[-1]
         if baseline is not None:
-            window = baseline.window(bench, policy.window)
+            window = baseline.window(bench, WINDOW)
         else:
-            window = candidate.window(bench, policy.window, before=len(records) - 1)
-        report.verdicts.append(compare_records(latest, window, policy))
+            window = candidate.window(bench, WINDOW, before=len(records) - 1)
+        report.verdicts.append(compare_records(latest, window))
     return report

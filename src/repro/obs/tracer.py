@@ -14,6 +14,10 @@ check per call.  Spans nest naturally through the ``with`` statement;
 a thread-local stack tracks depth and parent for the JSONL export
 (Chrome infers nesting from timestamps on the same thread).  Span ids
 are ``"<pid hex>-<seq hex>"``.
+
+Run ``python -m repro.obs.tracer FILE...`` to check exported Chrome
+traces (exit 0 valid, 1 on any bad or unreadable file, 2 without
+arguments).
 """
 
 from __future__ import annotations
@@ -21,9 +25,12 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.errors import TraceSchemaError
 
 #: process-wide span-id sequence
 _SPAN_IDS = itertools.count(1)
@@ -217,5 +224,54 @@ def span_tree_problems(events: List[Dict]) -> List[str]:
     return problems
 
 
+def validate_chrome_trace(payload) -> None:
+    """Check a document is a loadable Chrome ``trace_event`` export.
+
+    Beyond per-event field checks, the span graph itself is validated:
+    duplicate span ids or a parent link pointing outside the trace
+    (an orphan span) fail validation.
+    """
+    if isinstance(payload, dict):
+        events = payload.get("traceEvents")
+        if not isinstance(events, list):
+            raise TraceSchemaError("trace object has no traceEvents list")
+    elif isinstance(payload, list):
+        events = payload
+    else:
+        raise TraceSchemaError("trace must be an object or an event array")
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            raise TraceSchemaError(f"trace event {index} is not an object")
+        for field in ("name", "ph", "ts", "pid", "tid"):
+            if field not in event:
+                raise TraceSchemaError(f"trace event {index} misses {field!r}")
+    problems = span_tree_problems(events)
+    if problems:
+        raise TraceSchemaError("; ".join(problems))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI: validate exported Chrome traces; exit 1 on any failure."""
+    paths = list(sys.argv[1:] if argv is None else argv)
+    if not paths:
+        print("usage: python -m repro.obs.tracer FILE [FILE...]", file=sys.stderr)
+        return 2
+    failures = 0
+    for path in paths:
+        try:
+            with open(path) as handle:
+                validate_chrome_trace(json.load(handle))
+        except (OSError, ValueError, TraceSchemaError) as error:
+            failures += 1
+            print(f"FAIL {path}: {error}")
+        else:
+            print(f"ok   {path}")
+    return 1 if failures else 0
+
+
 #: the process-wide tracer shared by every instrumented module
 DEFAULT_TRACER = Tracer()
+
+
+if __name__ == "__main__":  # pragma: no cover
+    sys.exit(main())

@@ -224,15 +224,20 @@ class TestRunLedger:
         records = [record(samples=[1.0, 2.0]), record(samples=[3.0])]
         assert pooled_samples(records) == [1.0, 2.0, 3.0]
 
-    def test_benchjson_validator_understands_ledgers(self, tmp_path):
-        from repro.obs.benchjson import validate_file
+    def test_main_exit_codes(self, tmp_path, capsys):
+        from repro.obs.ledger import main
 
-        path = tmp_path / "ledger.jsonl"
-        RunLedger(path).append(record())
-        assert validate_file(str(path)) == "ledger"
-        single = tmp_path / "record.json"
-        single.write_text(json.dumps(record()))
-        assert validate_file(str(single)) == "ledger-record"
+        good = tmp_path / "ledger.jsonl"
+        RunLedger(good).append(record())
+        RunLedger(good).append(record())
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(dict(record(), samples=[])) + "\n")
+        assert main([str(good)]) == 0
+        assert main([str(good), str(bad)]) == 1
+        assert main([str(tmp_path / "missing.jsonl")]) == 1
+        assert main([]) == 2
+        out = capsys.readouterr().out
+        assert "(2 records)" in out and "FAIL" in out
 
 
 class TestHistogramsField:

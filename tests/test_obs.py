@@ -1,21 +1,17 @@
 """Tests for the observability layer (tracing, metrics, profiling, CLI)."""
 
+import importlib.util
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.errors import BenchSchemaError
+from repro.errors import TraceSchemaError
 from repro.obs import METRICS, Tracer, profile_section, span_tree_problems, stage_rows
-from repro.obs.benchjson import (
-    bench_payload,
-    validate_bench,
-    validate_chrome_trace,
-    validate_file,
-    write_bench,
-)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NOOP_SPAN
+from repro.obs.tracer import NOOP_SPAN, validate_chrome_trace
+from repro.obs.tracer import main as tracer_main
 
 
 class TestMetrics:
@@ -165,6 +161,28 @@ class TestTracer:
             assert parent["tid"] == event["tid"]
             assert event["args"]["depth"] == 1
 
+    def test_validate_rejects_bad_trace(self):
+        with pytest.raises(TraceSchemaError):
+            validate_chrome_trace({"noEvents": []})
+        with pytest.raises(TraceSchemaError):
+            validate_chrome_trace([{"name": "a"}])  # missing ph/ts/pid/tid
+        validate_chrome_trace([])  # an empty event array is loadable
+
+    def test_main_exit_codes(self, tmp_path, capsys):
+        tracer = Tracer(enabled=True)
+        with tracer.span("atpg.run"):
+            pass
+        good = tmp_path / "trace.json"
+        tracer.export_chrome(str(good))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"noEvents": []}\n')
+        assert tracer_main([str(good)]) == 0
+        assert tracer_main([str(good), str(bad)]) == 1
+        assert tracer_main([str(tmp_path / "missing.json")]) == 1
+        assert tracer_main([]) == 2
+        out = capsys.readouterr()
+        assert "ok" in out.out and "FAIL" in out.out
+
 
 class TestProfileSection:
     def test_feeds_time_histogram_without_tracing(self):
@@ -190,101 +208,43 @@ class TestProfileSection:
         assert rows[1]["seconds"] == 0.0
 
 
+def _bench_harness():
+    """``benchmarks/conftest.py`` loaded as a plain module."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("bench_harness", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchJson:
+    """``BENCH_<name>.json`` holds results only; the ledger gets the rest."""
+
     def test_payload_round_trip(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("schedule.items").inc(8)
-        payload = bench_payload(
-            "schedule", 0.004, {"System1": {"makespan": 10}}, rounds=3,
-            registry=registry,
-        )
-        path = tmp_path / "BENCH_schedule.json"
-        write_bench(str(path), payload)
-        assert validate_file(str(path)) == "bench"
-        loaded = json.loads(path.read_text())
-        assert loaded["counters"] == {"schedule.items": 8}
-        assert loaded["rounds"] == 3
+        from repro.obs.ledger import RunLedger
 
-    def test_v2_payload_carries_raw_samples(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("schedule.items").inc(8)
-        payload = bench_payload(
-            "schedule", 0.004, {}, registry=registry,
-            samples=[0.0041, 0.0039, 0.0040],
-        )
-        assert payload["schema_version"] == 2
-        assert payload["samples"] == [0.0041, 0.0039, 0.0040]
-        assert payload["rounds"] == 3  # rounds follows the sample count
-        path = tmp_path / "BENCH_schedule.json"
-        write_bench(str(path), payload)
-        assert validate_file(str(path)) == "bench"
+        write_bench_json = _bench_harness().write_bench_json
+        results = {"System2": {"makespan": 10}, "System1": {"makespan": 7}}
+        path = write_bench_json(tmp_path, "schedule", [0.004, 0.005], results)
+        text = path.read_text()
+        assert json.loads(text) == results
+        assert text == json.dumps(results, indent=2, sort_keys=True) + "\n"
+        write_bench_json(tmp_path, "schedule", [0.006], results)
+        assert path.read_text() == text  # same results, same bytes
+        records = RunLedger(tmp_path / "ledger.jsonl").records("schedule")
+        assert [record["samples"] for record in records] == [[0.004, 0.005], [0.006]]
 
-    def test_zero_valued_counters_are_recorded(self):
+    def test_zero_valued_counters_are_recorded(self, tmp_path, monkeypatch):
+        from repro.obs.ledger import RunLedger
+
         registry = MetricsRegistry()
         registry.counter("a.touched_zero")  # created, never incremented
         registry.counter("a.nonzero").inc(2)
-        payload = bench_payload("x", 0.1, {}, registry=registry)
+        monkeypatch.setattr("repro.obs.METRICS", registry)
+        _bench_harness().write_bench_json(tmp_path, "x", [0.1], {})
+        (record,) = RunLedger(tmp_path / "ledger.jsonl").records()
         # "zero" and "absent" must be different facts for counter diffs
-        assert payload["counters"] == {"a.touched_zero": 0, "a.nonzero": 2}
-
-    def test_v1_payloads_still_validate(self):
-        v1 = {
-            "schema": "repro-bench", "schema_version": 1, "bench": "old",
-            "wall_time_s": 0.1, "rounds": 5, "counters": {}, "results": {},
-        }
-        validate_bench(v1)  # no samples required at v1
-        with pytest.raises(BenchSchemaError, match="declare v2"):
-            validate_bench(dict(v1, samples=[0.1]))
-
-    def test_v2_sample_constraints(self):
-        good = bench_payload(
-            "x", 0.1, {}, registry=MetricsRegistry(), samples=[0.1, 0.2]
-        )
-        with pytest.raises(BenchSchemaError, match="non-empty"):
-            validate_bench(dict(good, samples=[]))
-        with pytest.raises(BenchSchemaError, match="negative"):
-            validate_bench(dict(good, samples=[0.1, -0.2]))
-        with pytest.raises(BenchSchemaError, match="rounds is 9"):
-            validate_bench(dict(good, rounds=9))
-        with pytest.raises(BenchSchemaError, match="newer"):
-            validate_bench(dict(good, schema_version=4))
-
-    def test_v3_histograms(self):
-        registry = MetricsRegistry()
-        registry.histogram("atpg.time").observe(0.01)
-        payload = bench_payload(
-            "x", 0.1, {}, registry=registry, samples=[0.1, 0.2],
-            histograms=registry.histograms(),
-        )
-        assert payload["schema_version"] == 3
-        assert payload["histograms"]["atpg.time"]["count"] == 1
-        # the well-defined empty summary validates too
-        from repro.obs.metrics import EMPTY_SUMMARY
-
-        validate_bench(dict(payload, histograms={"h": dict(EMPTY_SUMMARY)}))
-        with pytest.raises(BenchSchemaError, match="declare v3"):
-            validate_bench(dict(payload, schema_version=2))
-        with pytest.raises(BenchSchemaError):
-            validate_bench(
-                dict(payload, histograms={"h": {"count": "many", "sum": 0}})
-            )
-
-    def test_validate_rejects_bad_payloads(self):
-        with pytest.raises(BenchSchemaError):
-            validate_bench({"schema": "repro-bench"})  # missing fields
-        good = bench_payload("x", 0.1, {}, registry=MetricsRegistry())
-        bad = dict(good, wall_time_s="fast")
-        with pytest.raises(BenchSchemaError):
-            validate_bench(bad)
-        with pytest.raises(BenchSchemaError):
-            validate_bench(dict(good, schema="other"))
-
-    def test_validate_rejects_bad_trace(self):
-        with pytest.raises(BenchSchemaError):
-            validate_chrome_trace({"noEvents": []})
-        with pytest.raises(BenchSchemaError):
-            validate_chrome_trace([{"name": "a"}])  # missing ph/ts/pid/tid
-        validate_chrome_trace([])  # an empty event array is loadable
+        assert record["counters"] == {"a.touched_zero": 0, "a.nonzero": 2}
 
 
 class TestCliObservability:

@@ -6,9 +6,10 @@ import pytest
 
 from repro.errors import RegressionError
 from repro.obs.ledger import RunLedger, make_record
+from repro.obs import regress
 from repro.obs.regress import (
+    COUNTER_IGNORE,
     BenchVerdict,
-    GatePolicy,
     bootstrap_ratio_ci,
     compare_counters,
     compare_ledgers,
@@ -94,34 +95,36 @@ class TestBootstrap:
 
 class TestWallGate:
     def test_small_ratio_never_flags(self):
-        result = compare_wall([1.05], [1.0, 1.0, 1.0], GatePolicy())
+        result = compare_wall([1.05], [1.0, 1.0, 1.0])
         assert not result.tripped
         assert "below min_ratio" in result.note
 
     def test_clear_slowdown_trips(self):
         baseline = [1.0, 1.01, 0.99, 1.02, 0.98]
-        result = compare_wall([6.0, 6.1, 5.9], baseline, GatePolicy())
+        result = compare_wall([6.0, 6.1, 5.9], baseline)
         assert result.tripped
         assert result.p_value <= 0.05
         assert result.ci_low > 1.0
 
     def test_noise_on_unchanged_run_does_not_trip(self):
         baseline = [1.0, 1.01, 0.99, 1.02, 0.98]
-        result = compare_wall([1.0, 1.03, 0.97], baseline, GatePolicy())
+        result = compare_wall([1.0, 1.03, 0.97], baseline)
         assert not result.tripped
 
     def test_single_sample_uses_strict_threshold_fallback(self):
         # one candidate sample can never reach p <= 0.05 against 3
-        policy = GatePolicy()
-        assert min_reachable_p(1, 3) > policy.alpha
-        modest = compare_wall([1.5], [1.0, 1.0, 1.0], policy)
+        assert min_reachable_p(1, 3) > regress.ALPHA
+        modest = compare_wall([1.5], [1.0, 1.0, 1.0])
         assert not modest.tripped and "fallback" in modest.note
-        extreme = compare_wall([2.5], [1.0, 1.0, 1.0], policy)
+        extreme = compare_wall([2.5], [1.0, 1.0, 1.0])
         assert extreme.tripped
 
-    def test_policy_validates_wall_gate_mode(self):
-        with pytest.raises(RegressionError):
-            GatePolicy(wall_gate="sometimes")
+    def test_policy_constants(self):
+        # the one policy CI, the docs and the benches gate with
+        assert (regress.WINDOW, regress.MIN_SAMPLES) == (5, 3)
+        assert (regress.MIN_RATIO, regress.ALPHA) == (1.25, 0.05)
+        assert regress.SMALL_SAMPLE_RATIO == 2.0
+        assert COUNTER_IGNORE == ("exec.", "attrib.", "explain.")
 
 
 class TestCounterGate:
@@ -189,24 +192,21 @@ class TestCompareRecords:
             record(samples=[1.0, 1.01, 0.99], env=OTHER_ENV) for _ in range(2)
         ]
         slow = record(samples=[6.0, 6.1, 5.9])
-        verdict = compare_records(slow, baseline, GatePolicy())
+        verdict = compare_records(slow, baseline)
         assert verdict.wall.tripped and verdict.wall.advisory
         assert verdict.status == "advisory"
         assert not verdict.failed  # advisory never fails the gate
-        always = compare_records(slow, baseline, GatePolicy(wall_gate="always"))
-        assert always.failed and always.status == "slower"
+        same_env = [record(samples=[1.0, 1.01, 0.99]) for _ in range(2)]
+        assert compare_records(slow, same_env).status == "slower"
 
-    def test_wall_gate_off(self):
+    def test_every_compared_series_gets_a_wall_verdict(self):
         baseline = [record(samples=[1.0, 1.0, 1.0]) for _ in range(2)]
-        verdict = compare_records(
-            record(samples=[9.0]), baseline, GatePolicy(wall_gate="off")
-        )
-        assert verdict.wall is None and not verdict.failed
+        verdict = compare_records(record(samples=[9.0]), baseline)
+        assert verdict.wall is not None
+        assert verdict.wall.tripped and verdict.failed
 
     def test_tiny_baseline_not_gated(self):
-        verdict = compare_records(
-            record(samples=[9.0]), [record(samples=[1.0])], GatePolicy()
-        )
+        verdict = compare_records(record(samples=[9.0]), [record(samples=[1.0])])
         assert not verdict.wall.tripped
         assert "gate not applied" in verdict.wall.note
 
@@ -338,25 +338,31 @@ class TestCliRegress:
         self.seed_ledger(path, [[1.0]])
         assert main(["regress", "--ledger", str(path)]) == 3
 
-    def test_no_counter_gate_flag(self, tmp_path):
+    def test_help_has_no_tuning_flags(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["regress", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for flag in ("--window", "--min-ratio", "--alpha", "--small-sample-ratio",
+                     "--ignore-counter", "--wall-gate", "--no-counter-gate"):
+            assert flag not in text
+        path = tmp_path / "ledger.jsonl"
+        self.seed_ledger(path, [[1.0]] * 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["regress", "--ledger", str(path), "--no-counter-gate"])
+        assert exc.value.code == 2
+
+    def test_ignored_counter_prefixes_never_drift(self, tmp_path):
         from repro.cli import main
 
         path = tmp_path / "ledger.jsonl"
-        self.seed_ledger(path, [[1.0]] * 3, counters={"a": 5})
-        RunLedger(path).append(record("b", [1.0], counters={"a": 6}))
-        assert main(
-            ["regress", "--ledger", str(path), "--no-counter-gate"]
-        ) == 0
-
-    def test_ignore_counter_flag(self, tmp_path):
-        from repro.cli import main
-
-        path = tmp_path / "ledger.jsonl"
-        self.seed_ledger(path, [[1.0]] * 3, counters={"noisy.x": 5})
-        RunLedger(path).append(record("b", [1.0], counters={"noisy.x": 6}))
-        assert main(
-            ["regress", "--ledger", str(path), "--ignore-counter", "noisy."]
-        ) == 0
+        before = {prefix + "x": 5 for prefix in COUNTER_IGNORE}
+        after = {prefix + "x": 6 for prefix in COUNTER_IGNORE}
+        self.seed_ledger(path, [[1.0]] * 3, counters=before)
+        RunLedger(path).append(record("b", [1.0], counters=after))
+        assert main(["regress", "--ledger", str(path)]) == 0
 
 
 def test_verdict_status_priorities():
